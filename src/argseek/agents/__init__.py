@@ -16,8 +16,6 @@ from .heuristics import (
     TraversalState,
     bfs_next,
     dfs_next,
-    new_traversal,
-    next_action,
     random_next,
 )
 from .qnet import (
@@ -53,8 +51,6 @@ __all__ = [
     "mlp_forward",
     "mlp_forward_batch",
     "mlp_gradients",
-    "new_traversal",
-    "next_action",
     "random_next",
     "save_qnet",
     "train_ddqn",

@@ -37,10 +37,6 @@ class TraversalState:
         self.next_frontier: list[str] = []
 
 
-def new_traversal(kind: str, candidates: tuple[str, ...]) -> TraversalState:
-    return TraversalState(kind, candidates)
-
-
 def _pick(items: list[str], rng: np.random.Generator) -> str:
     return items[int(rng.integers(len(items)))]
 
@@ -115,17 +111,3 @@ def bfs_next(
         if idx is not None and idx in legal:
             return idx
     return random_next(legal, rng)
-
-
-def next_action(
-    traversal: TraversalState,
-    graph: FactGraph,
-    claim: str,
-    legal: frozenset[int],
-    rng: np.random.Generator,
-) -> int:
-    if traversal.kind == "random":
-        return random_next(legal, rng)
-    if traversal.kind == "dfs":
-        return dfs_next(traversal, graph, claim, legal, rng)
-    return bfs_next(traversal, graph, claim, legal, rng)

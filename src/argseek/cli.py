@@ -13,10 +13,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .abduction import ExplainCache, construct_argument, explain, rationality
+from .abduction import construct_argument, explain, rationality
 from .agents.ddqn import Hyperparams, train_ddqn
 from .agents.qnet import QNetworkParams, load_qnet, save_qnet
 from .data import Dataset, GenParams, build_toy, generate_synthetic, load_dataset, save_dataset
+from .env import Scenario
 from .harness import (
     evaluate,
     metrics_csv,
@@ -48,8 +49,10 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_models(
-    model_paths: tuple[str, ...], seeds: list[int]
+    model_paths: tuple[str, ...], seeds: list[int], scenario: Scenario
 ) -> dict[int, QNetworkParams]:
+    """Load one model per seed; each must map the scenario's features to its
+    actions."""
     if len(model_paths) == 1:
         paths = list(model_paths) * len(seeds)
     elif len(model_paths) == len(seeds):
@@ -59,10 +62,20 @@ def _load_models(
             f"got {len(model_paths)} --model paths for {len(seeds)} seeds; "
             "pass one per seed or a single shared model"
         )
-    try:
-        return {seed: load_qnet(path) for seed, path in zip(seeds, paths)}
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    models = {}
+    for seed, path in zip(seeds, paths):
+        try:
+            model = load_qnet(path)
+        except (OSError, ValueError) as exc:
+            raise click.ClickException(str(exc)) from exc
+        dims = model.layer_dims
+        if (dims[0], dims[-1]) != (scenario.feature_dim, scenario.n_actions):
+            raise click.ClickException(
+                f"{path}: model maps {dims[0]} inputs to {dims[-1]} actions, but the "
+                f"dataset has {scenario.feature_dim} features and {scenario.n_actions} actions"
+            )
+        models[seed] = model
+    return models
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -139,7 +152,7 @@ def eval_cmd(data, strategy, model_paths, seeds, t_limit, out_path) -> None:
         if strategy == "ddqn":
             if not model_paths:
                 raise click.ClickException("--strategy ddqn requires --model")
-            models = _load_models(model_paths, seed_list)
+            models = _load_models(model_paths, seed_list, ds.scenario)
         metrics = evaluate(
             strategy, ds.test_kas, ds.scenario, seed_list, models=models, t_limit=t_limit
         )
@@ -164,7 +177,7 @@ def sweep(data, strategy, model_paths, seeds, max_tlimit, out_path) -> None:
         if strategy == "ddqn":
             if not model_paths:
                 raise click.ClickException("--strategy ddqn requires --model")
-            models = _load_models(model_paths, seed_list)
+            models = _load_models(model_paths, seed_list, ds.scenario)
         table = sweep_tlimit(
             strategy, ds.test_kas, ds.scenario, seed_list, max_tlimit, models=models
         )
@@ -186,7 +199,7 @@ def transcript(data, model_paths, ka_index, seed) -> None:
             raise click.ClickException(
                 f"--ka {ka_index} out of range (dataset has {len(ds.kas)} K_A sets)"
             )
-        models = _load_models(model_paths, [seed])
+        models = _load_models(model_paths, [seed], ds.scenario)
         scenario = ds.scenario
         policy = policy_factory("ddqn", scenario, models[seed])()
         _, _, _, log = run_episode(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -19,9 +20,9 @@ from .abduction import ExplainCache
 from .agents.ddqn import greedy_action
 from .agents.heuristics import (
     STRATEGY_KINDS,
+    TraversalState,
     bfs_next,
     dfs_next,
-    new_traversal,
     random_next,
 )
 from .agents.qnet import QNetworkParams
@@ -100,7 +101,7 @@ def policy_factory(
     next_fn = dfs_next if kind == "dfs" else bfs_next
 
     def make_traversal() -> Policy:
-        walk = new_traversal(kind, scenario.candidate_facts)
+        walk = TraversalState(kind, scenario.candidate_facts)
 
         def act(state: EnvState, legal: frozenset[int], rng: np.random.Generator) -> int:
             return next_fn(walk, graph, scenario.claim, legal, rng)
@@ -157,6 +158,79 @@ def _episode_rng(seed: int, episode: int) -> np.random.Generator:
     return np.random.default_rng([seed, episode])
 
 
+# One finished rollout: the running reward total after each step (index k
+# holds the total after k steps, index 0 is 0.0) and whether it succeeded.
+_Run = tuple[list[float], bool]
+
+
+def _rollouts(
+    kind: str,
+    test_kas: Sequence[frozenset[str]],
+    scenario: Scenario,
+    seeds: Sequence[int],
+    models: Mapping[int, QNetworkParams] | None,
+) -> list[list[_Run]]:
+    """Run one episode per (seed, test K_A) at ``scenario.t_limit`` with one
+    shared explain cache; returns the runs grouped by seed, in input order."""
+    if not test_kas:
+        raise ValueError("empty test list")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    cache = ExplainCache(scenario.rules, scenario.config)
+
+    runs: list[list[_Run]] = []
+    for seed in seeds:
+        if kind == "ddqn":
+            if models is None or seed not in models:
+                raise ValueError(f"no model supplied for seed {seed}")
+            factory = policy_factory(kind, scenario, models[seed])
+        else:
+            factory = policy_factory(kind, scenario)
+        seed_runs: list[_Run] = []
+        for i, ka in enumerate(test_kas):
+            _, _, success, log = run_episode(
+                scenario, ka, factory(), _episode_rng(seed, i), cache=cache, keep_log=True
+            )
+            # Adds the step rewards in run_episode's order, so the last
+            # entry is bit-identical to the total it returns.
+            totals = list(accumulate((rec.reward for rec in log.records), initial=0.0))
+            seed_runs.append((totals, success))
+        runs.append(seed_runs)
+    return runs
+
+
+def _aggregate(runs: Sequence[Sequence[_Run]], scenario: Scenario, t_limit: int) -> Metrics:
+    """Metrics of ``runs`` cut at ``t_limit``, which must not exceed the limit
+    they ran at. An episode of length L counts min(L, t_limit) steps and the
+    reward total after them, and succeeds only if it did within t_limit."""
+    completed = 0
+    total_steps = 0
+    seed_means: list[float] = []
+    for seed_runs in runs:
+        seed_total = 0.0
+        for totals, success in seed_runs:
+            length = len(totals) - 1
+            steps = min(length, t_limit)
+            seed_total += totals[steps]
+            total_steps += steps
+            completed += int(success and length <= t_limit)
+        seed_means.append(seed_total / len(seed_runs))
+
+    episodes = sum(len(seed_runs) for seed_runs in runs)
+    avg_score = (scenario.r_goal * completed + scenario.r_time * total_steps) / episodes
+    if len(runs) > 1:
+        stderr = float(np.std(seed_means, ddof=1) / np.sqrt(len(runs)))
+    else:
+        stderr = 0.0
+    return Metrics(
+        avg_score=avg_score,
+        completed=completed,
+        avg_steps=total_steps / episodes,
+        stderr_score=stderr,
+        episodes_evaluated=episodes,
+    )
+
+
 def evaluate(
     kind: str,
     test_kas: Sequence[frozenset[str]],
@@ -171,47 +245,10 @@ def evaluate(
     seeds vary only the episode RNG. avg_score satisfies
     (r_goal * completed + r_time * total_steps) / episodes exactly.
     """
-    if not test_kas:
-        raise ValueError("empty test list")
-    if not seeds:
-        raise ValueError("need at least one seed")
     if t_limit is not None:
         scenario = dataclasses.replace(scenario, t_limit=t_limit)
-    cache = ExplainCache(scenario.rules, scenario.config)
-
-    completed = 0
-    total_steps = 0
-    seed_means: list[float] = []
-    for seed in seeds:
-        if kind == "ddqn":
-            if models is None or seed not in models:
-                raise ValueError(f"no model supplied for seed {seed}")
-            factory = policy_factory(kind, scenario, models[seed])
-        else:
-            factory = policy_factory(kind, scenario)
-        seed_total = 0.0
-        for i, ka in enumerate(test_kas):
-            reward, steps, success, _ = run_episode(
-                scenario, ka, factory(), _episode_rng(seed, i), cache=cache
-            )
-            seed_total += reward
-            total_steps += steps
-            completed += int(success)
-        seed_means.append(seed_total / len(test_kas))
-
-    episodes = len(seeds) * len(test_kas)
-    avg_score = (scenario.r_goal * completed + scenario.r_time * total_steps) / episodes
-    if len(seeds) > 1:
-        stderr = float(np.std(seed_means, ddof=1) / np.sqrt(len(seeds)))
-    else:
-        stderr = 0.0
-    return Metrics(
-        avg_score=avg_score,
-        completed=completed,
-        avg_steps=total_steps / episodes,
-        stderr_score=stderr,
-        episodes_evaluated=episodes,
-    )
+    runs = _rollouts(kind, test_kas, scenario, seeds, models)
+    return _aggregate(runs, scenario, scenario.t_limit)
 
 
 def sweep_tlimit(
@@ -222,13 +259,20 @@ def sweep_tlimit(
     max_tlimit: int,
     models: Mapping[int, QNetworkParams] | None = None,
 ) -> list[tuple[int, Metrics]]:
-    """Evaluate at every time limit 1..max_tlimit."""
+    """Evaluate at every time limit 1..max_tlimit from one set of rollouts.
+
+    Every (seed, K_A) episode runs once, at ``max_tlimit``, and the row for
+    each limit T is cut from those runs. That is exact, not an estimate:
+    episodes are prefix-consistent (see the module docstring), so the run at
+    limit T is the first min(L, T) steps of the run at ``max_tlimit``, which
+    has length L. Each row therefore equals ``evaluate(..., t_limit=T)``
+    float for float.
+    """
     if max_tlimit < 1:
         raise ValueError("max_tlimit must be >= 1")
-    return [
-        (t, evaluate(kind, test_kas, scenario, seeds, models=models, t_limit=t))
-        for t in range(1, max_tlimit + 1)
-    ]
+    scenario = dataclasses.replace(scenario, t_limit=max_tlimit)
+    runs = _rollouts(kind, test_kas, scenario, seeds, models)
+    return [(t, _aggregate(runs, scenario, t)) for t in range(1, max_tlimit + 1)]
 
 
 def render_transcript(

@@ -8,6 +8,7 @@ weights act as cost multipliers during explanation search.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -64,6 +65,8 @@ class Rule:
             check_atom_id(atom)
         if self.conclusion in self.premises:
             raise KBError(f"rule conclusion {self.conclusion!r} appears among its premises")
+        if not all(math.isfinite(w) for w in self.premise_weights):
+            raise KBError(f"rule {self.conclusion!r} has a non-finite premise weight")
         if any(w <= 0 for w in self.premise_weights):
             raise KBError(f"rule {self.conclusion!r} has a non-positive premise weight")
 
@@ -94,6 +97,8 @@ def parse_rule(line: str) -> Rule:
             weight = float(wtext.strip())
         except ValueError:
             raise KBError(f"bad weight in rule line: {line!r}") from None
+        if not math.isfinite(weight):
+            raise KBError(f"non-finite weight in rule line: {line!r}")
         if weight <= 0:
             raise KBError(f"non-positive weight in rule line: {line!r}")
         text = body.strip()

@@ -14,9 +14,9 @@ from argseek.agents.ddqn import (
 )
 from argseek.agents.heuristics import (
     STRATEGY_KINDS,
+    TraversalState,
     bfs_next,
     dfs_next,
-    new_traversal,
     random_next,
 )
 from argseek.agents.qnet import (
@@ -377,7 +377,7 @@ def diamond_graph():
 
 def walk_order(kind, seed):
     graph, candidates = diamond_graph()
-    traversal = new_traversal(kind, candidates)
+    traversal = TraversalState(kind, candidates)
     next_fn = dfs_next if kind == "dfs" else bfs_next
     rng = np.random.default_rng(seed)
     legal = set(range(len(candidates)))
@@ -395,7 +395,7 @@ class TestHeuristics:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            new_traversal("greedy", ("a",))
+            TraversalState("greedy", ("a",))
 
     def test_random_next_uniform_coverage(self):
         rng = np.random.default_rng(0)
@@ -428,7 +428,7 @@ class TestHeuristics:
 
     def test_traversal_skips_already_asked(self):
         graph, candidates = diamond_graph()
-        traversal = new_traversal("dfs", candidates)
+        traversal = TraversalState("dfs", candidates)
         rng = np.random.default_rng(1)
         legal = frozenset({1, 2, 3, 4})  # a (index 0) was already asked
         idx = dfs_next(traversal, graph, "c", legal, rng)
@@ -437,7 +437,7 @@ class TestHeuristics:
     @pytest.mark.parametrize("kind", ["dfs", "bfs"])
     def test_empty_legal_rejected(self, kind):
         graph, candidates = diamond_graph()
-        traversal = new_traversal(kind, candidates)
+        traversal = TraversalState(kind, candidates)
         next_fn = dfs_next if kind == "dfs" else bfs_next
         with pytest.raises(ValueError):
             next_fn(traversal, graph, "c", frozenset(), np.random.default_rng(0))

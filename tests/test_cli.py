@@ -1,9 +1,10 @@
 """End-to-end command line flows on the toy dataset."""
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from argseek.agents.qnet import load_qnet, save_qnet
+from argseek.agents.qnet import init_qnet, load_qnet, save_qnet
 from argseek.cli import main
 from argseek.data import load_dataset
 
@@ -138,6 +139,23 @@ class TestEval:
         )
         assert result.exit_code == 0
         assert result.output.splitlines()[1] == "ddqn,97.0,0.0,150,3.0"
+
+    @pytest.mark.parametrize(
+        "dims, wrong",
+        [((19, 4, 5), "19 inputs to 5 actions"), ((21, 4, 9), "21 inputs to 9 actions")],
+    )
+    @pytest.mark.parametrize("command", ["eval", "sweep", "transcript"])
+    def test_model_dims_must_fit_dataset(self, runner, toy_dir, tmp_path, dims, wrong, command):
+        path = tmp_path / "misfit.txt"
+        save_qnet(init_qnet(dims, np.random.default_rng(0)), path)
+        args = [command, "--data", str(toy_dir), "--model", str(path)]
+        args += ["--ka", "0"] if command == "transcript" else ["--strategy", "ddqn"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a ClickException, no traceback
+        assert str(path) in result.output
+        assert wrong in result.output
+        assert "dataset has 19 features and 9 actions" in result.output
 
     def test_bad_seed_list_fails(self, runner, toy_dir):
         result = runner.invoke(

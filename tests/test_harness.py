@@ -1,8 +1,13 @@
 """Episode rollouts, metric aggregation, sweeps, and output rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from argseek.abduction import ExplainCache
+from argseek.agents.qnet import init_qnet
+from argseek.data import GenParams, build_synthetic
 from argseek.harness import (
     EpisodeLog,
     Metrics,
@@ -155,6 +160,101 @@ class TestSweep:
     def test_bad_limit_rejected(self, toy):
         with pytest.raises(ValueError):
             sweep_tlimit("random", toy.test_kas, toy.scenario, [0], 0)
+
+
+SWEEP_SEEDS = [0, 1, 2]
+
+
+def sweep_case(name, toy):
+    """(test K_A sets, scenario) for one sweep-equivalence case."""
+    if name == "synthetic":
+        ds = build_synthetic(
+            GenParams(n_facts=30, n_rules=12, ka_count=20, ka_size=6,
+                      train_count=10, seed=1)
+        )
+        return ds.test_kas, ds.scenario
+    if name == "fractional":
+        # Rewards that are not exact binary floats pin the order in which
+        # the per-seed totals are added up.
+        return toy.test_kas, dataclasses.replace(toy.scenario, r_time=-0.3, r_goal=7.7)
+    return toy.test_kas, toy.scenario
+
+
+def sweep_models(kind, scenario):
+    """An untrained model shared by every seed, so ddqn episodes vary in length."""
+    if kind != "ddqn":
+        return None
+    model = init_qnet((scenario.feature_dim, 8, scenario.n_actions),
+                      np.random.default_rng(0))
+    return {seed: model for seed in SWEEP_SEEDS}
+
+
+def replayed_metrics(kind, test_kas, scenario, seeds, models, t_limit):
+    """The slow path a sweep row replaces: every episode replayed at t_limit
+    with a fresh cache, rewards added up in the same order as evaluate."""
+    scenario = dataclasses.replace(scenario, t_limit=t_limit)
+    cache = ExplainCache(scenario.rules, scenario.config)
+    completed, total_steps, seed_means = 0, 0, []
+    for seed in seeds:
+        factory = policy_factory(kind, scenario, models[seed] if models else None)
+        seed_total = 0.0
+        for i, ka in enumerate(test_kas):
+            reward, steps, success, _ = run_episode(
+                scenario, ka, factory(), np.random.default_rng([seed, i]), cache=cache
+            )
+            seed_total += reward
+            total_steps += steps
+            completed += int(success)
+        seed_means.append(seed_total / len(test_kas))
+    episodes = len(seeds) * len(test_kas)
+    stderr = float(np.std(seed_means, ddof=1) / np.sqrt(len(seeds)))
+    return Metrics(
+        avg_score=(scenario.r_goal * completed + scenario.r_time * total_steps) / episodes,
+        completed=completed,
+        avg_steps=total_steps / episodes,
+        stderr_score=stderr,
+        episodes_evaluated=episodes,
+    )
+
+
+class TestSweepEquivalence:
+    """The one-rollout sweep and evaluate against a full replay per time limit."""
+
+    def check_rows(self, kind, test_kas, scenario, max_tlimit):
+        models = sweep_models(kind, scenario)
+        table = sweep_tlimit(kind, test_kas, scenario, SWEEP_SEEDS, max_tlimit, models=models)
+        assert [t for t, _ in table] == list(range(1, max_tlimit + 1))
+        for t, metrics in table:
+            want = replayed_metrics(kind, test_kas, scenario, SWEEP_SEEDS, models, t)
+            assert metrics == want, f"sweep row t_limit={t}"
+            assert evaluate(
+                kind, test_kas, scenario, SWEEP_SEEDS, models=models, t_limit=t
+            ) == want, f"evaluate t_limit={t}"
+        return table
+
+    @pytest.mark.parametrize("case", ["toy", "synthetic", "fractional"])
+    @pytest.mark.parametrize("kind", ["random", "dfs", "bfs", "ddqn"])
+    def test_rows_equal_per_limit_replays(self, toy, kind, case):
+        test_kas, scenario = sweep_case(case, toy)
+        self.check_rows(kind, test_kas, scenario, 10)
+
+    @pytest.mark.parametrize("kind", ["random", "dfs", "bfs", "ddqn"])
+    def test_limits_beyond_the_action_count(self, toy, kind):
+        # Past n_actions every unfinished episode has asked everything, so
+        # it ends there and the rows stop changing.
+        test_kas, scenario = sweep_case("toy", toy)
+        n = scenario.n_actions
+        table = self.check_rows(kind, test_kas, scenario, n + 3)
+        assert all(m == table[n - 1][1] for _, m in table[n:])
+
+    def test_random_episodes_run_out_of_actions(self, toy):
+        test_kas, scenario = sweep_case("toy", toy)
+        n = scenario.n_actions
+        table = sweep_tlimit("random", test_kas, scenario, SWEEP_SEEDS, n + 3)
+        m = table[-1][1]
+        # Most random walks fail and stop after asking all n candidates.
+        assert m.completed < m.episodes_evaluated
+        assert n - 1 < m.avg_steps < n
 
 
 class TestRenderTranscript:

@@ -56,6 +56,11 @@ class TestRule:
         with pytest.raises(KBError):
             Rule(("a",), "c", (-1.0,))
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(KBError, match="non-finite"):
+            Rule(("a", "b"), "c", (0.5, weight))
+
 
 class TestParseRule:
     def test_explicit_weight_split_uniformly(self):
@@ -86,6 +91,11 @@ class TestParseRule:
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(KBError):
             parse_rule(line)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(KBError, match="non-finite weight"):
+            parse_rule(f"a & b -> c :: {weight}")
 
     def test_render_parse_round_trip(self):
         for line in ("a & b -> c :: 1.5", "p -> q :: 0.5", "x & y & z -> w :: 1.2"):
@@ -168,4 +178,11 @@ class TestLoaders:
         path = tmp_path / "rules.txt"
         path.write_text("a -> b\nnot a rule\n")
         with pytest.raises(KBError, match=":2:"):
+            load_rules_file(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_rules_file_non_finite_weight_names_line(self, tmp_path, weight):
+        path = tmp_path / "rules.txt"
+        path.write_text(f"a -> b\n# comment\na & b -> c :: {weight}\n")
+        with pytest.raises(KBError, match=r"rules\.txt:3: non-finite weight"):
             load_rules_file(path)
