@@ -99,14 +99,18 @@ class RationalityResult:
 
 @dataclass(frozen=True)
 class Argument:
-    """A claim with the support extracted from its optimal joint proof."""
+    """A claim with the support extracted from its optimal joint proof.
+
+    ``rationality`` holds the claim's three explanation costs and savings;
+    ``proof`` is the joint proof of the facts and the claim.
+    """
 
     claim: str
     support_facts: frozenset[str]
     support_rules: tuple[Rule, ...]
     assumptions: frozenset[str]
-    rationality_raw: float
-    rationality_norm: float
+    rationality: RationalityResult
+    proof: ProofStructure
 
 
 def _tie_eps(cost: float) -> float:
@@ -568,12 +572,11 @@ def rationality(
 
     Returns the three explanation costs, the raw saving r, and its
     normalized form r_norm = r / (e_alpha + e_k), zero when that sum is zero.
+    The costs come from a fresh :class:`ExplainCache`, the one place that
+    sequences the three explanations.
     """
-    config = config or AbductionConfig()
-    e_alpha = explain({claim}, kq.rules, config).total_cost
-    e_k = explain(kq.facts, kq.rules, config).total_cost
-    e_joint = explain(set(kq.facts) | {claim}, kq.rules, config).total_cost
-    return _rationality_from_costs(e_alpha, e_k, e_joint)
+    cache = ExplainCache(kq.rules, config or AbductionConfig())
+    return cache.rationality(kq.facts, claim)
 
 
 def _rationality_from_costs(
@@ -603,11 +606,12 @@ def construct_argument(
     The support is the connected component of the joint proof containing the
     claim, where a used rule connects its conclusion with each premise.
     Assumptions are the component's ASSUME-labeled atoms that are neither
-    collected facts nor the claim itself.
+    collected facts nor the claim itself. The argument carries the claim's
+    rationality and the joint proof, computed once through one cache.
     """
-    config = config or AbductionConfig()
-    joint = explain(set(kq.facts) | {claim}, kq.rules, config)
-    rat = rationality(kq, claim, config)
+    cache = ExplainCache(kq.rules, config or AbductionConfig())
+    rat = cache.rationality(kq.facts, claim)
+    joint = cache.explain(kq.facts | {claim})
 
     adj: dict[str, set[str]] = {a: set() for a in joint.labels}
     for atom, rule in joint.labels.items():
@@ -645,8 +649,8 @@ def construct_argument(
         support_facts=support_facts,
         support_rules=support_rules,
         assumptions=assumptions,
-        rationality_raw=rat.r,
-        rationality_norm=rat.r_norm,
+        rationality=rat,
+        proof=joint,
     )
 
 

@@ -14,7 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..env import DialogueEnv, Scenario, Transition
+from .. import env
+from ..abduction import ExplainCache
+from ..env import Scenario, Transition
 from ..kb import KnowledgeBase
 from .qnet import (
     AdamState,
@@ -124,13 +126,11 @@ def train_ddqn(
     scenario: Scenario,
     ka_pool: Sequence[KnowledgeBase],
     hp: Hyperparams,
-    env: DialogueEnv | None = None,
 ) -> tuple[QNetworkParams, np.ndarray]:
     """Train a questioner on episodes with answerers drawn from the pool.
 
     Returns the final online network and the per-episode cumulative reward
-    curve. Passing a prebuilt ``env`` lets callers share its explanation
-    cache across strategies and seeds.
+    curve. All episodes share one explanation cache.
     """
     if not ka_pool:
         raise ValueError("training pool of answerer knowledge bases is empty")
@@ -141,35 +141,37 @@ def train_ddqn(
     buffer = ReplayBuffer(hp.replay_capacity)
     adam = AdamState()
     curve = np.zeros(hp.episodes, dtype=np.float64)
-    if env is None:
-        env = DialogueEnv(scenario, ka_pool[0])
+    cache = ExplainCache(scenario.rules, scenario.config)
 
     action_count = 0
     update_count = 0
     for ep in range(hp.episodes):
-        ka = ka_pool[int(rng.integers(len(ka_pool)))]
-        env.reset(ka)
+        ka = env.as_answerer(ka_pool[int(rng.integers(len(ka_pool)))])
+        state = env.reset(scenario, ka)
+        features = env.featurize(state)
+        legal = env.legal_actions(state)
         total = 0.0
-        while not env.done:
-            legal = env.legal_actions()
-            if not legal:
-                break
-            features = env.featurize()
+        # Each step's next features and legal set are the following step's
+        # own; a finished episode has no legal actions left.
+        while legal:
             if rng.random() < epsilon_at(hp, action_count):
                 action = sorted(legal)[int(rng.integers(len(legal)))]
             else:
                 action = greedy_action(params, features, legal)
             action_count += 1
-            result = env.step(action)
+            result = env.step(state, action, scenario, ka, cache)
+            state = result.state
             total += result.reward
+            s_next = env.featurize(state)
+            legal_next = frozenset() if result.done else env.legal_actions(state)
             buffer.push(
                 Transition(
                     s=features,
                     a=action,
                     r=result.reward,
-                    s_next=env.featurize(),
+                    s_next=s_next,
                     done=result.done,
-                    legal_next=env.legal_actions(),
+                    legal_next=legal_next,
                 )
             )
             if len(buffer) >= hp.batch_size:
@@ -184,6 +186,7 @@ def train_ddqn(
                 update_count += 1
                 if update_count % hp.target_sync_every == 0:
                     target = copy_params(params)
+            features, legal = s_next, legal_next
         curve[ep] = total
         if (ep + 1) % 100 == 0:
             recent = curve[max(0, ep - 99) : ep + 1]

@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .abduction import construct_argument, explain, rationality
+from .abduction import construct_argument
 from .agents.ddqn import Hyperparams, train_ddqn
 from .agents.qnet import QNetworkParams, load_qnet, save_qnet
 from .data import Dataset, GenParams, build_toy, generate_synthetic, load_dataset, save_dataset
@@ -230,11 +230,10 @@ def abduce(data, facts, claim) -> None:
         if claim_atom not in ds.universe:
             raise click.ClickException(f"claim {claim_atom!r} outside the universe")
         kq = KnowledgeBase(facts=fact_set, rules=ds.rules)
-        result = rationality(kq, claim_atom, ds.config)
         argument = construct_argument(kq, claim_atom, ds.config)
-        joint = explain(fact_set | {claim_atom}, ds.rules, ds.config)
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
+    result = argument.rationality
     click.echo(f"E_alpha = {result.e_alpha!r}")
     click.echo(f"E_k = {result.e_k!r}")
     click.echo(f"E_joint = {result.e_joint!r}")
@@ -243,7 +242,7 @@ def abduce(data, facts, claim) -> None:
     click.echo(f"support_facts = {sorted(argument.support_facts)}")
     click.echo(f"assumptions = {sorted(argument.assumptions)}")
     click.echo("joint proof (atom, label, charge):")
-    click.echo(joint.listing())
+    click.echo(argument.proof.listing())
 
 
 if __name__ == "__main__":

@@ -261,13 +261,7 @@ def _question_text(atom: str, claim: str) -> tuple[str, str]:
     return (f"Is {atom} known to hold?", f"{atom} holds.")
 
 
-def build_synthetic(
-    params: GenParams,
-    theta_r: float = 0.7,
-    t_limit: int = 10,
-    r_goal: float = 100.0,
-    r_time: float = -1.0,
-) -> Dataset:
+def build_synthetic(params: GenParams) -> Dataset:
     """Construct a synthetic dataset in memory, determined by params.seed."""
     rng = np.random.default_rng(params.seed)
     width = max(3, len(str(params.n_facts - 1)))
@@ -345,26 +339,18 @@ def build_synthetic(
         claim=claim,
         kas=kas,
         train_count=params.train_count,
-        theta_r=theta_r,
-        t_limit=t_limit,
-        r_goal=r_goal,
-        r_time=r_time,
+        theta_r=0.7,
+        t_limit=10,
+        r_goal=100.0,
+        r_time=-1.0,
         config=config,
         questions=questions,
     )
 
 
-def generate_synthetic(
-    params: GenParams,
-    directory: str | Path,
-    theta_r: float = 0.7,
-    t_limit: int = 10,
-    r_goal: float = 100.0,
-    r_time: float = -1.0,
-) -> Path:
+def generate_synthetic(params: GenParams, directory: str | Path) -> Path:
     """Generate a synthetic dataset on disk; returns the manifest path."""
-    dataset = build_synthetic(params, theta_r, t_limit, r_goal, r_time)
-    return save_dataset(dataset, directory)
+    return save_dataset(build_synthetic(params), directory)
 
 
 def build_toy(seed: int = 0, ka_count: int = 110, train_count: int = 60) -> Dataset:

@@ -13,12 +13,12 @@ States are exposed both as structured records and as flat feature vectors
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .abduction import AbductionConfig, ExplainCache, rationality
+from .abduction import AbductionConfig, ExplainCache
 from .kb import KnowledgeBase, Rule
 
 
@@ -149,9 +149,12 @@ def step(
     action: int,
     scenario: Scenario,
     ka: KnowledgeBase | frozenset[str],
-    cache: ExplainCache | None = None,
+    cache: ExplainCache,
 ) -> StepResult:
-    """Ask one candidate fact and settle reward and termination."""
+    """Ask one candidate fact and settle reward and termination.
+
+    ``cache`` must be built on ``scenario.rules`` and ``scenario.config``.
+    """
     ka = as_answerer(ka)
     if not 0 <= action < scenario.n_actions:
         raise EnvError(f"action index {action} out of range")
@@ -170,11 +173,7 @@ def step(
     if got is not None:
         collected[action] = 1
         kq_facts = kq_facts | {got}
-        if cache is not None:
-            rat = cache.rationality(kq_facts, scenario.claim)
-        else:
-            kq = KnowledgeBase(facts=kq_facts, rules=scenario.rules)
-            rat = rationality(kq, scenario.claim, scenario.config)
+        rat = cache.rationality(kq_facts, scenario.claim)
         r_raw, r_norm = rat.r, rat.r_norm
 
     new_step = state.step + 1
@@ -199,47 +198,6 @@ def featurize(state: EnvState) -> np.ndarray:
         list(state.asked) + list(state.collected) + [state.rationality],
         dtype=np.float64,
     )
-
-
-class DialogueEnv:
-    """Stateful wrapper binding a scenario to one answerer knowledge base.
-
-    Explanation costs are memoized per rule set, so the cache may be shared
-    across episodes and across environments built on the same scenario.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        ka: KnowledgeBase | frozenset[str],
-        cache: ExplainCache | None = None,
-    ):
-        self.scenario = scenario
-        self.ka = as_answerer(ka)
-        self.cache = cache or ExplainCache(scenario.rules, scenario.config)
-        self.state = reset(scenario, self.ka)
-        self.done = False
-
-    def reset(self, ka: KnowledgeBase | frozenset[str] | None = None) -> EnvState:
-        if ka is not None:
-            self.ka = as_answerer(ka)
-        self.state = reset(self.scenario, self.ka)
-        self.done = False
-        return self.state
-
-    def legal_actions(self) -> frozenset[int]:
-        return frozenset() if self.done else legal_actions(self.state)
-
-    def step(self, action: int) -> StepResult:
-        if self.done:
-            raise EnvError("episode already finished; call reset()")
-        result = step(self.state, action, self.scenario, self.ka, self.cache)
-        self.state = result.state
-        self.done = result.done
-        return result
-
-    def featurize(self) -> np.ndarray:
-        return featurize(self.state)
 
 
 def make_scenario(

@@ -26,7 +26,7 @@ from .agents.heuristics import (
     random_next,
 )
 from .agents.qnet import QNetworkParams
-from .env import EnvState, Scenario, featurize, legal_actions, reset, step
+from .env import EnvState, Scenario, as_answerer, featurize, legal_actions, reset, step
 from .kb import KnowledgeBase, build_fact_graph
 
 UNKNOWN_ANSWER = "I do not know."
@@ -120,8 +120,7 @@ def run_episode(
     keep_log: bool = False,
 ) -> tuple[float, int, bool, EpisodeLog | None]:
     """Roll out one dialogue; returns (cumulative reward, steps, success, log)."""
-    if not isinstance(ka, KnowledgeBase):
-        ka = KnowledgeBase(facts=frozenset(ka))
+    ka = as_answerer(ka)
     if cache is None:
         cache = ExplainCache(scenario.rules, scenario.config)
     state = reset(scenario, ka)
@@ -177,6 +176,8 @@ def _rollouts(
     if not seeds:
         raise ValueError("need at least one seed")
     cache = ExplainCache(scenario.rules, scenario.config)
+    # Only ddqn's policy depends on the seed, through its per-seed model.
+    factory = None if kind == "ddqn" else policy_factory(kind, scenario)
 
     runs: list[list[_Run]] = []
     for seed in seeds:
@@ -184,8 +185,6 @@ def _rollouts(
             if models is None or seed not in models:
                 raise ValueError(f"no model supplied for seed {seed}")
             factory = policy_factory(kind, scenario, models[seed])
-        else:
-            factory = policy_factory(kind, scenario)
         seed_runs: list[_Run] = []
         for i, ka in enumerate(test_kas):
             _, _, success, log = run_episode(

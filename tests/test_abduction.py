@@ -164,15 +164,16 @@ class TestWorkedExample:
         assert arg.support_facts == {"q3", "q4"}
         assert arg.assumptions == {"q2", "q5"}
         assert [r.conclusion for r in arg.support_rules] == ["q1", "q3"]
-        assert arg.rationality_raw == 18.0
-        assert arg.rationality_norm == 0.6
+        assert arg.rationality.r == 18.0
+        assert arg.rationality.r_norm == 0.6
+        assert arg.proof.assumptions == ("q2", "q4", "q5")
 
     def test_argument_for_unrelated_claim(self, fig_rules, default_config):
         kq = KnowledgeBase(facts=frozenset({"q3", "q4"}), rules=fig_rules)
         arg = construct_argument(kq, "q9", default_config)
         assert arg.support_facts == frozenset()
         assert arg.assumptions == frozenset()
-        assert arg.rationality_norm == 0.0
+        assert arg.rationality.r_norm == 0.0
 
 
 class TestProofStructure:
@@ -306,9 +307,28 @@ class TestExplainCache:
         first = cache.explain({"q1", "q3"})
         assert cache.explain({"q3", "q1"}) is first
 
-    def test_rationality_matches_module_function(self, fig_rules, default_config):
-        cache = ExplainCache(fig_rules, default_config)
-        kq = KnowledgeBase(facts=frozenset({"q3", "q4"}), rules=fig_rules)
-        direct = rationality(kq, "q1", default_config)
-        cached = cache.rationality({"q3", "q4"}, "q1")
-        assert cached == direct
+    def test_rationality_matches_module_function(self, default_config):
+        # The cache's rationality seeds its joint search with a cost hint;
+        # the module's hint-free explain on each of the three sets is the
+        # reference, and the oracle pins the joint cost independently.
+        rng = np.random.default_rng(31)
+        for _ in range(250):
+            atoms, rules, obs = random_instance(rng)
+            claim = atoms[int(rng.integers(len(atoms)))]
+            facts = obs - {claim}
+            got = ExplainCache(rules, default_config).rationality(facts, claim)
+            e_alpha = explain({claim}, rules, default_config).total_cost
+            e_k = explain(facts, rules, default_config).total_cost
+            joint = explain(facts | {claim}, rules, default_config)
+            assert (got.e_alpha, got.e_k, got.e_joint) == (e_alpha, e_k, joint.total_cost)
+            oracle = brute_force_explain(facts | {claim}, rules, default_config)
+            assert got.e_joint == oracle.total_cost
+            r = e_alpha + e_k - joint.total_cost
+            assert got.r == r
+            assert got.r_norm == (r / (e_alpha + e_k) if e_alpha + e_k > 0 else 0.0)
+            arg = construct_argument(
+                KnowledgeBase(facts=facts, rules=tuple(rules)), claim, default_config
+            )
+            assert arg.rationality == got
+            assert arg.proof.labels == joint.labels
+            assert arg.proof.charges == joint.charges

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from argseek import env
 from argseek.agents.ddqn import (
     Hyperparams,
     ReplayBuffer,
@@ -355,6 +356,27 @@ class TestTrainDdqn:
         assert np.array_equal(c1, c2)
         for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
             assert np.array_equal(a, b)
+
+    def test_one_env_step_per_curve_step(self, toy, monkeypatch):
+        # The trainer steps through argseek.env's module attribute, so a
+        # wrapper set there sees every step it takes.
+        calls = []
+        real_step = env.step
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(env, "step", counting_step)
+        hp = Hyperparams(
+            episodes=3, batch_size=4, replay_capacity=64,
+            eps_anneal_actions=16, hidden_dims=(8,), seed=0,
+        )
+        _, curve = train_ddqn(toy.scenario, toy.train_kas, hp)
+        # Toy rewards: -1 per step, +100 once on success, which needs at
+        # most t_limit = 4 steps; so a positive total means success.
+        steps = sum(100.0 - c if c > 0 else -c for c in curve)
+        assert len(calls) == steps > 0
 
     def test_empty_pool_rejected(self, toy):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from argseek import abduction
 from argseek.agents.qnet import init_qnet, load_qnet, save_qnet
 from argseek.cli import main
 from argseek.data import load_dataset
@@ -247,6 +248,23 @@ class TestAbduce:
         result = runner.invoke(main, ["abduce", "--data", str(toy_dir)])
         assert result.exit_code == 0
         assert "R_norm = 0.0\n" in result.output
+
+    def test_each_proof_computed_once(self, runner, toy_dir, monkeypatch):
+        # E_alpha, E_k and E_joint need three explanations; the printed
+        # joint proof is the one behind E_joint.
+        calls = []
+        real_explain = abduction.explain
+
+        def counting_explain(*args, **kwargs):
+            calls.append(1)
+            return real_explain(*args, **kwargs)
+
+        monkeypatch.setattr(abduction, "explain", counting_explain)
+        result = runner.invoke(
+            main, ["abduce", "--data", str(toy_dir), "--facts", "d1,d2"]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 3
 
     def test_unknown_fact_fails(self, runner, toy_dir):
         result = runner.invoke(

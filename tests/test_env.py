@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from argseek.abduction import ExplainCache
 from argseek.env import (
-    DialogueEnv,
     EnvError,
     Scenario,
     answer,
@@ -30,11 +30,16 @@ def good_ka():
     return frozenset({"d1", "d2", "d3", "x1", "x2", "x3"})
 
 
-def play(scenario, ka, actions, state=None):
-    state = state or reset(scenario, ka)
+def cache_for(scenario):
+    return ExplainCache(scenario.rules, scenario.config)
+
+
+def play(scenario, ka, actions, cache=None):
+    cache = cache or cache_for(scenario)
+    state = reset(scenario, ka)
     results = []
     for a in actions:
-        results.append(step(state, a, scenario, ka))
+        results.append(step(state, a, scenario, ka, cache))
         state = results[-1].state
     return state, results
 
@@ -186,22 +191,31 @@ class TestStep:
     def test_repeat_action_rejected(self, toy_scenario, good_ka):
         state, _ = play(toy_scenario, good_ka, [0])
         with pytest.raises(EnvError):
-            step(state, 0, toy_scenario, good_ka)
+            step(state, 0, toy_scenario, good_ka, cache_for(toy_scenario))
 
     def test_out_of_range_action_rejected(self, toy_scenario, good_ka):
         state = reset(toy_scenario, good_ka)
+        cache = cache_for(toy_scenario)
         with pytest.raises(EnvError):
-            step(state, 9, toy_scenario, good_ka)
+            step(state, 9, toy_scenario, good_ka, cache)
         with pytest.raises(EnvError):
-            step(state, -1, toy_scenario, good_ka)
+            step(state, -1, toy_scenario, good_ka, cache)
+
+    def test_shared_cache_preserves_results(self, toy_scenario, good_ka):
+        # A second episode on a shared cache is served from its memo and
+        # must step exactly like one on a cache of its own.
+        shared = cache_for(toy_scenario)
+        first = play(toy_scenario, good_ka, (0, 1, 2), shared)
+        second = play(toy_scenario, good_ka, (0, 1, 2), shared)
+        own = play(toy_scenario, good_ka, (0, 1, 2))
+        assert first == second == own
 
 
 class TestFeaturize:
     def test_layout_asked_collected_rationality(self, fig_rules):
         sc = make_scenario("q1", ("q1", "q2", "q3", "q4", "q5"), fig_rules, 0.7, 10)
         assert sc.feature_dim == 9
-        state = reset(sc, frozenset({"q5"}))
-        state = step(state, 3, sc, frozenset({"q5"})).state  # ask q5
+        state, _ = play(sc, frozenset({"q5"}), [3])  # ask q5
         vec = featurize(state)
         assert vec.dtype == np.float64
         assert vec.shape == (9,)
@@ -213,45 +227,12 @@ class TestFeaturize:
         assert legal_actions(state) == frozenset({0, 1, 3, 4, 6, 7, 8})
 
 
-class TestDialogueEnv:
-    def test_tracks_done_and_blocks_further_steps(self, toy_scenario, good_ka):
-        env = DialogueEnv(toy_scenario, good_ka)
-        for action in (0, 1, 2):
-            result = env.step(action)
-        assert result.done and env.done
-        assert env.legal_actions() == frozenset()
-        with pytest.raises(EnvError):
-            env.step(3)
-
-    def test_reset_swaps_answerer(self, toy_scenario, good_ka):
-        env = DialogueEnv(toy_scenario, good_ka)
-        env.step(0)
-        env.reset(frozenset({"x6"}))
-        assert env.state.step == 0
-        assert env.step(8).info.answered == "x6"
-
-    def test_featurize_matches_module_function(self, toy_scenario, good_ka):
-        env = DialogueEnv(toy_scenario, good_ka)
-        env.step(0)
-        assert np.array_equal(env.featurize(), featurize(env.state))
-
-    def test_shared_cache_preserves_results(self, toy_scenario, good_ka):
-        from argseek.abduction import ExplainCache
-
-        cache = ExplainCache(toy_scenario.rules, toy_scenario.config)
-        env1 = DialogueEnv(toy_scenario, good_ka, cache=cache)
-        env2 = DialogueEnv(toy_scenario, good_ka, cache=cache)
-        r1 = [env1.step(a) for a in (0, 1, 2)]
-        r2 = [env2.step(a) for a in (0, 1, 2)]
-        assert [x.reward for x in r1] == [x.reward for x in r2]
-        assert env1.state == env2.state
-
-
 class TestAccounting:
     def test_reward_identity_over_random_episodes(self, toy):
         # Cumulative reward must equal r_goal * success - steps, with no
         # repeats and length within the budget, for any action sequence.
         sc = toy.scenario
+        cache = cache_for(sc)
         rng = np.random.default_rng(7)
         for episode in range(200):
             ka = toy.kas[episode % len(toy.kas)]
@@ -262,7 +243,7 @@ class TestAccounting:
             while not done:
                 legal = sorted(legal_actions(state))
                 action = legal[int(rng.integers(len(legal)))]
-                result = step(state, action, sc, ka)
+                result = step(state, action, sc, ka, cache)
                 asked.append(action)
                 total += result.reward
                 state = result.state
