@@ -6,156 +6,4 @@ questioning strategy is either a graph-traversal heuristic or a double deep
 Q-network trained inside a dialogue MDP.
 """
 
-from __future__ import annotations
-
-from .abduction import (
-    AbductionConfig,
-    AbductionError,
-    Argument,
-    ExplainCache,
-    ProofStructure,
-    RationalityResult,
-    brute_force_explain,
-    construct_argument,
-    explain,
-    rationality,
-)
-from .agents import (
-    AdamState,
-    Hyperparams,
-    QNetworkParams,
-    ReplayBuffer,
-    bfs_next,
-    ddqn_target,
-    dfs_next,
-    epsilon_at,
-    greedy_action,
-    init_qnet,
-    load_qnet,
-    masked_argmax,
-    mlp_forward,
-    mlp_gradients,
-    random_next,
-    save_qnet,
-    train_ddqn,
-)
-from .data import (
-    Dataset,
-    GenParams,
-    build_synthetic,
-    build_toy,
-    generate_synthetic,
-    load_dataset,
-    save_dataset,
-)
-from .env import (
-    EnvError,
-    EnvState,
-    Scenario,
-    StepResult,
-    Transition,
-    answer,
-    featurize,
-    legal_actions,
-    make_scenario,
-    reset,
-    step,
-)
-from .harness import (
-    EpisodeLog,
-    Metrics,
-    StepRecord,
-    evaluate,
-    metrics_csv,
-    policy_factory,
-    render_transcript,
-    run_episode,
-    sweep_csv,
-    sweep_tlimit,
-)
-from .kb import (
-    DEFAULT_RULE_WEIGHT,
-    FactGraph,
-    KBError,
-    KnowledgeBase,
-    Rule,
-    build_fact_graph,
-    check_atom_id,
-    load_facts_file,
-    load_rules_file,
-    make_knowledge_base,
-    parse_rule,
-    render_rule,
-)
-
-__all__ = [
-    "AbductionConfig",
-    "AbductionError",
-    "AdamState",
-    "Argument",
-    "DEFAULT_RULE_WEIGHT",
-    "Dataset",
-    "EnvError",
-    "EnvState",
-    "EpisodeLog",
-    "ExplainCache",
-    "FactGraph",
-    "GenParams",
-    "Hyperparams",
-    "KBError",
-    "KnowledgeBase",
-    "Metrics",
-    "ProofStructure",
-    "QNetworkParams",
-    "RationalityResult",
-    "ReplayBuffer",
-    "Rule",
-    "Scenario",
-    "StepRecord",
-    "StepResult",
-    "Transition",
-    "answer",
-    "bfs_next",
-    "brute_force_explain",
-    "build_fact_graph",
-    "build_synthetic",
-    "build_toy",
-    "check_atom_id",
-    "construct_argument",
-    "ddqn_target",
-    "dfs_next",
-    "epsilon_at",
-    "evaluate",
-    "explain",
-    "featurize",
-    "generate_synthetic",
-    "greedy_action",
-    "init_qnet",
-    "legal_actions",
-    "load_dataset",
-    "load_facts_file",
-    "load_qnet",
-    "load_rules_file",
-    "make_knowledge_base",
-    "make_scenario",
-    "masked_argmax",
-    "metrics_csv",
-    "mlp_forward",
-    "mlp_gradients",
-    "parse_rule",
-    "policy_factory",
-    "random_next",
-    "rationality",
-    "render_rule",
-    "render_transcript",
-    "reset",
-    "run_episode",
-    "save_dataset",
-    "save_qnet",
-    "step",
-    "sweep_csv",
-    "sweep_tlimit",
-    "train_ddqn",
-]
-
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from .. import env
 from ..abduction import ExplainCache
 from ..env import Scenario, Transition
-from ..kb import KnowledgeBase
+from .heuristics import random_next
 from .qnet import (
     AdamState,
     QNetworkParams,
@@ -56,6 +56,8 @@ class Hyperparams:
             raise ValueError("replay capacity must hold at least one batch")
         if self.target_sync_every < 1:
             raise ValueError("target_sync_every must be >= 1")
+        if self.episodes < 1:
+            raise ValueError("episodes must be >= 1")
 
 
 class ReplayBuffer:
@@ -124,7 +126,7 @@ def ddqn_target(
 
 def train_ddqn(
     scenario: Scenario,
-    ka_pool: Sequence[KnowledgeBase],
+    ka_pool: Sequence[frozenset[str]],
     hp: Hyperparams,
 ) -> tuple[QNetworkParams, np.ndarray]:
     """Train a questioner on episodes with answerers drawn from the pool.
@@ -146,7 +148,7 @@ def train_ddqn(
     action_count = 0
     update_count = 0
     for ep in range(hp.episodes):
-        ka = env.as_answerer(ka_pool[int(rng.integers(len(ka_pool)))])
+        ka = ka_pool[int(rng.integers(len(ka_pool)))]
         state = env.reset(scenario, ka)
         features = env.featurize(state)
         legal = env.legal_actions(state)
@@ -155,7 +157,7 @@ def train_ddqn(
         # own; a finished episode has no legal actions left.
         while legal:
             if rng.random() < epsilon_at(hp, action_count):
-                action = sorted(legal)[int(rng.integers(len(legal)))]
+                action = random_next(legal, rng)
             else:
                 action = greedy_action(params, features, legal)
             action_count += 1

@@ -121,7 +121,7 @@ def gen(out_dir, facts, rules, ka_count, ka_size, train_count, seed, toy) -> Non
 
 @main.command()
 @click.option("--data", required=True, type=click.Path(exists=True))
-@click.option("--episodes", default=1000, show_default=True)
+@click.option("--episodes", default=1000, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def train(data, episodes, seed, out_path) -> None:
@@ -202,13 +202,7 @@ def transcript(data, model_paths, ka_index, seed) -> None:
         models = _load_models(model_paths, [seed], ds.scenario)
         scenario = ds.scenario
         policy = policy_factory("ddqn", scenario, models[seed])()
-        _, _, _, log = run_episode(
-            scenario,
-            ds.kas[ka_index],
-            policy,
-            np.random.default_rng(seed),
-            keep_log=True,
-        )
+        log = run_episode(scenario, ds.kas[ka_index], policy, np.random.default_rng(seed))
     except (OSError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     click.echo(render_transcript(log, ds.questions), nl=False)
@@ -223,7 +217,7 @@ def abduce(data, facts, claim) -> None:
     try:
         ds = _load(data)
         claim_atom = claim or ds.claim
-        fact_set = frozenset(f for f in facts.split(",") if f.strip())
+        fact_set = frozenset(f.strip() for f in facts.split(",") if f.strip())
         unknown = sorted(fact_set - set(ds.universe))
         if unknown:
             raise click.ClickException(f"facts outside the universe: {unknown}")

@@ -18,14 +18,16 @@ same-branch facts, while an informed policy asks backbone facts only.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from .abduction import AbductionConfig
-from .env import Scenario, make_scenario
+from .env import Scenario
 from .kb import Rule, load_facts_file, load_rules_file, parse_rule, render_rule
 
 logger = logging.getLogger(__name__)
@@ -106,10 +108,10 @@ class Dataset:
 
     @property
     def scenario(self) -> Scenario:
-        return make_scenario(
+        return Scenario(
             claim=self.claim,
-            atom_universe=self.universe,
-            rules=self.rules,
+            atom_universe=tuple(self.universe),
+            rules=tuple(self.rules),
             theta_r=self.theta_r,
             t_limit=self.t_limit,
             r_goal=self.r_goal,
@@ -137,6 +139,29 @@ def _parse_manifest(path: Path) -> dict[str, str]:
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
     return entries
+
+
+_T = TypeVar("_T")
+
+# Numeric manifest keys and their parsers, by the record they set. A key in
+# lower case is the record's field name.
+_CONFIG_KEYS = {"obs_cost": float, "max_depth": int, "max_universe": int}
+_SCENARIO_KEYS = {"theta_R": float, "t_limit": int, "r_goal": float, "r_time": float}
+
+
+def _set_manifest_values(
+    path: Path, entries: dict[str, str], record: _T, keys: dict[str, Callable[[str], object]]
+) -> _T:
+    """``record`` with each of ``keys`` that the manifest gives parsed and set,
+    one at a time, so that a value that fails to parse or validate names its
+    key."""
+    for key, parse in keys.items():
+        if key in entries:
+            try:
+                record = dataclasses.replace(record, **{key.lower(): parse(entries[key])})
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
+    return record
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
@@ -174,16 +199,21 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if not kas:
         raise ValueError(f"{ka_dir}: no K_A files found")
 
-    train_count = int(entries["train_count"])
+    try:
+        train_count = int(entries["train_count"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: train_count: {exc}") from None
     if not 0 < train_count < len(kas):
         raise ValueError(
             f"train_count {train_count} does not split {len(kas)} K_A files"
         )
 
-    config = AbductionConfig(
-        obs_cost=float(entries.get("obs_cost", 10.0)),
-        max_depth=int(entries.get("max_depth", 6)),
-        max_universe=int(entries.get("max_universe", 64)),
+    config = _set_manifest_values(manifest_path, entries, AbductionConfig(), _CONFIG_KEYS)
+    scenario = _set_manifest_values(
+        manifest_path,
+        entries,
+        Scenario(claim, tuple(universe), tuple(rules), theta_r=0.7, t_limit=10, config=config),
+        _SCENARIO_KEYS,
     )
     questions: dict[str, tuple[str, str]] = {}
     q_file = base / entries.get("questions_file", "questions.tsv")
@@ -204,10 +234,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         claim=claim,
         kas=tuple(kas),
         train_count=train_count,
-        theta_r=float(entries.get("theta_R", 0.7)),
-        t_limit=int(entries.get("t_limit", 10)),
-        r_goal=float(entries.get("r_goal", 100.0)),
-        r_time=float(entries.get("r_time", -1.0)),
+        theta_r=scenario.theta_r,
+        t_limit=scenario.t_limit,
+        r_goal=scenario.r_goal,
+        r_time=scenario.r_time,
         config=config,
         questions=questions,
     )
@@ -353,13 +383,14 @@ def generate_synthetic(params: GenParams, directory: str | Path) -> Path:
     return save_dataset(build_synthetic(params), directory)
 
 
-def build_toy(seed: int = 0, ka_count: int = 110, train_count: int = 60) -> Dataset:
+def build_toy(seed: int = 0) -> Dataset:
     """Tiny fixed-shape domain for fast end-to-end learning checks.
 
     Ten atoms; the claim follows from three designated facts that appear in
     every answerer set, padded with three of six distractor atoms. An
     episode succeeds only by collecting exactly the three designated facts,
     so the optimal policy is three asks and collected distractors are fatal.
+    There are 110 answerer sets, the first 60 for training.
     """
     rng = np.random.default_rng(seed)
     claim = "c"
@@ -372,7 +403,7 @@ def build_toy(seed: int = 0, ka_count: int = 110, train_count: int = 60) -> Data
         | frozenset(
             np.asarray(junk)[rng.choice(len(junk), size=3, replace=False)].tolist()
         )
-        for _ in range(ka_count)
+        for _ in range(110)
     )
     questions = {a: _question_text(a, claim) for a in atoms}
     return Dataset(
@@ -380,7 +411,7 @@ def build_toy(seed: int = 0, ka_count: int = 110, train_count: int = 60) -> Data
         rules=rules,
         claim=claim,
         kas=kas,
-        train_count=train_count,
+        train_count=60,
         theta_r=0.65,
         t_limit=4,
         r_goal=100.0,

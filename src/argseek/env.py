@@ -1,25 +1,27 @@
 """Dialogue MDP for information-seeking question selection.
 
-The questioner picks one unasked candidate fact per step; the answerer
-reveals it only when it lies in the answerer's knowledge. Collected facts
-feed the questioner's knowledge base, whose normalized rationality toward
-the claim drives the goal condition. Every step costs ``r_time``; reaching
-``theta_r`` additionally pays ``r_goal`` and ends the episode, as does
-exhausting the turn budget or the action space.
+A ``Scenario`` fixes the episode constants; its action space is every atom
+of the universe but the claim. The answerer is a bare fact set (K_A). The
+questioner picks one unasked candidate fact per step; the answerer reveals
+it only when it lies in K_A. Collected facts feed the questioner's knowledge
+base, whose normalized rationality toward the claim drives the goal
+condition. Every step costs ``r_time``; reaching ``theta_r`` additionally
+pays ``r_goal`` and ends the episode, as does exhausting the turn budget or
+the action space.
 
-States are exposed both as structured records and as flat feature vectors
+``reset`` and ``step`` build new states and never change one. States are
+exposed both as structured records and as flat feature vectors
 ``[asked ⊕ collected ⊕ [r_norm]]`` for the learning agent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .abduction import AbductionConfig, ExplainCache
-from .kb import KnowledgeBase, Rule
+from .kb import Rule
 
 
 class EnvError(ValueError):
@@ -30,31 +32,27 @@ class EnvError(ValueError):
 class Scenario:
     """Fixed episode configuration shared by every strategy.
 
-    ``candidate_facts`` is the ordered action space: every askable atom,
-    never including the claim itself.
+    ``candidate_facts`` is the ordered action space, derived from the
+    universe: every atom but the claim, in universe order.
     """
 
     claim: str
     atom_universe: tuple[str, ...]
-    candidate_facts: tuple[str, ...]
     rules: tuple[Rule, ...]
     theta_r: float
     t_limit: int
     r_goal: float = 100.0
     r_time: float = -1.0
     config: AbductionConfig = AbductionConfig()
+    candidate_facts: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.claim in self.candidate_facts:
-            raise EnvError("claim cannot be an askable candidate")
-        if len(set(self.candidate_facts)) != len(self.candidate_facts):
-            raise EnvError("candidate_facts contains duplicates")
-        universe = set(self.atom_universe)
-        if self.claim not in universe:
+        if len(set(self.atom_universe)) != len(self.atom_universe):
+            raise EnvError("atom_universe contains duplicates")
+        if self.claim not in self.atom_universe:
             raise EnvError("claim missing from atom universe")
-        missing = [f for f in self.candidate_facts if f not in universe]
-        if missing:
-            raise EnvError(f"candidates outside atom universe: {missing[:5]}")
+        candidates = tuple(a for a in self.atom_universe if a != self.claim)
+        object.__setattr__(self, "candidate_facts", candidates)
         if self.t_limit < 1:
             raise EnvError("t_limit must be >= 1")
         if not 0.0 < self.theta_r <= 1.0:
@@ -86,18 +84,13 @@ class EnvState:
 
 
 @dataclass(frozen=True)
-class StepInfo:
-    answered: str | None
-    r_raw: float
-    r_norm: float
-
-
-@dataclass(frozen=True)
 class StepResult:
+    """``answered`` is the asked fact when the answerer knew it, else None."""
+
     state: EnvState
     reward: float
     done: bool
-    info: StepInfo
+    answered: str | None
 
 
 @dataclass(frozen=True)
@@ -112,17 +105,9 @@ class Transition:
     legal_next: frozenset[int]
 
 
-def as_answerer(ka: KnowledgeBase | frozenset[str] | set[str]) -> KnowledgeBase:
-    """Accept a bare fact set anywhere an answerer knowledge base is due."""
-    if isinstance(ka, KnowledgeBase):
-        return ka
-    return KnowledgeBase(facts=frozenset(ka))
-
-
-def reset(scenario: Scenario, ka: KnowledgeBase | frozenset[str]) -> EnvState:
+def reset(scenario: Scenario, ka: frozenset[str]) -> EnvState:
     """Start an episode: empty questioner knowledge, nothing asked yet."""
-    ka = as_answerer(ka)
-    unknown = ka.facts - set(scenario.candidate_facts)
+    unknown = ka - set(scenario.candidate_facts)
     if unknown:
         raise EnvError(f"answerer facts outside candidates: {sorted(unknown)[:5]}")
     n = scenario.n_actions
@@ -139,23 +124,18 @@ def legal_actions(state: EnvState) -> frozenset[int]:
     return frozenset(i for i, flag in enumerate(state.asked) if not flag)
 
 
-def answer(query: str, ka: KnowledgeBase | frozenset[str]) -> str | None:
-    """The answerer confirms a queried fact it knows, else stays silent."""
-    return query if query in as_answerer(ka).facts else None
-
-
 def step(
     state: EnvState,
     action: int,
     scenario: Scenario,
-    ka: KnowledgeBase | frozenset[str],
+    ka: frozenset[str],
     cache: ExplainCache,
 ) -> StepResult:
-    """Ask one candidate fact and settle reward and termination.
+    """Ask one candidate fact and settle reward and termination. The
+    answerer confirms a queried fact it knows, else stays silent.
 
     ``cache`` must be built on ``scenario.rules`` and ``scenario.config``.
     """
-    ka = as_answerer(ka)
     if not 0 <= action < scenario.n_actions:
         raise EnvError(f"action index {action} out of range")
     if state.asked[action]:
@@ -167,12 +147,12 @@ def step(
     kq_facts = state.kq_facts
 
     query = scenario.candidate_facts[action]
-    got = answer(query, ka)
+    answered = query if query in ka else None
     r_raw = state.rationality_raw
     r_norm = state.rationality
-    if got is not None:
+    if answered is not None:
         collected[action] = 1
-        kq_facts = kq_facts | {got}
+        kq_facts = kq_facts | {query}
         rat = cache.rationality(kq_facts, scenario.claim)
         r_raw, r_norm = rat.r, rat.r_norm
 
@@ -189,7 +169,7 @@ def step(
         kq_facts=kq_facts,
         rationality_raw=r_raw,
     )
-    return StepResult(new_state, reward, done, StepInfo(got, r_raw, r_norm))
+    return StepResult(new_state, reward, done, answered)
 
 
 def featurize(state: EnvState) -> np.ndarray:
@@ -197,30 +177,4 @@ def featurize(state: EnvState) -> np.ndarray:
     return np.asarray(
         list(state.asked) + list(state.collected) + [state.rationality],
         dtype=np.float64,
-    )
-
-
-def make_scenario(
-    claim: str,
-    atom_universe: Sequence[str],
-    rules: Sequence[Rule],
-    theta_r: float,
-    t_limit: int,
-    r_goal: float = 100.0,
-    r_time: float = -1.0,
-    config: AbductionConfig | None = None,
-) -> Scenario:
-    """Scenario with the conventional action space: every atom but the claim."""
-    universe = tuple(atom_universe)
-    candidates = tuple(a for a in universe if a != claim)
-    return Scenario(
-        claim=claim,
-        atom_universe=universe,
-        candidate_facts=candidates,
-        rules=tuple(rules),
-        theta_r=theta_r,
-        t_limit=t_limit,
-        r_goal=r_goal,
-        r_time=r_time,
-        config=config or AbductionConfig(),
     )

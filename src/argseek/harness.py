@@ -26,8 +26,8 @@ from .agents.heuristics import (
     random_next,
 )
 from .agents.qnet import QNetworkParams
-from .env import EnvState, Scenario, as_answerer, featurize, legal_actions, reset, step
-from .kb import KnowledgeBase, build_fact_graph
+from .env import EnvState, Scenario, featurize, legal_actions, reset, step
+from .kb import build_fact_graph
 
 UNKNOWN_ANSWER = "I do not know."
 
@@ -113,18 +113,15 @@ def policy_factory(
 
 def run_episode(
     scenario: Scenario,
-    ka: frozenset[str] | KnowledgeBase,
+    ka: frozenset[str],
     policy: Policy,
     rng: np.random.Generator,
     cache: ExplainCache | None = None,
-    keep_log: bool = False,
-) -> tuple[float, int, bool, EpisodeLog | None]:
-    """Roll out one dialogue; returns (cumulative reward, steps, success, log)."""
-    ka = as_answerer(ka)
+) -> EpisodeLog:
+    """Roll out one dialogue and record every step."""
     if cache is None:
         cache = ExplainCache(scenario.rules, scenario.config)
     state = reset(scenario, ka)
-    total = 0.0
     records: list[StepRecord] = []
     success = False
     while True:
@@ -133,24 +130,21 @@ def run_episode(
             break
         action = policy(state, legal, rng)
         result = step(state, action, scenario, ka, cache=cache)
-        total += result.reward
-        if keep_log:
-            records.append(
-                StepRecord(
-                    step=result.state.step,
-                    asked=scenario.candidate_facts[action],
-                    answered=result.info.answered,
-                    r_raw=result.info.r_raw,
-                    r_norm=result.info.r_norm,
-                    reward=result.reward,
-                )
-            )
         state = result.state
+        records.append(
+            StepRecord(
+                step=state.step,
+                asked=scenario.candidate_facts[action],
+                answered=result.answered,
+                r_raw=state.rationality_raw,
+                r_norm=state.rationality,
+                reward=result.reward,
+            )
+        )
         if result.done:
             success = state.rationality >= scenario.theta_r
             break
-    log = EpisodeLog(records=tuple(records), success=success) if keep_log else None
-    return total, state.step, success, log
+    return EpisodeLog(records=tuple(records), success=success)
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:
@@ -187,13 +181,9 @@ def _rollouts(
             factory = policy_factory(kind, scenario, models[seed])
         seed_runs: list[_Run] = []
         for i, ka in enumerate(test_kas):
-            _, _, success, log = run_episode(
-                scenario, ka, factory(), _episode_rng(seed, i), cache=cache, keep_log=True
-            )
-            # Adds the step rewards in run_episode's order, so the last
-            # entry is bit-identical to the total it returns.
+            log = run_episode(scenario, ka, factory(), _episode_rng(seed, i), cache=cache)
             totals = list(accumulate((rec.reward for rec in log.records), initial=0.0))
-            seed_runs.append((totals, success))
+            seed_runs.append((totals, log.success))
         runs.append(seed_runs)
     return runs
 

@@ -148,9 +148,9 @@ def test_criterion_06_environment_accounting(toy):
     for episode in range(1000):
         ka = toy.kas[episode % len(toy.kas)]
         rng = np.random.default_rng([9, episode])
-        total, steps, success, log = run_episode(
-            sc, ka, factory(), rng, cache=cache, keep_log=True
-        )
+        log = run_episode(sc, ka, factory(), rng, cache=cache)
+        total = sum(rec.reward for rec in log.records)
+        steps, success = len(log.records), log.success
         assert total == 100.0 * success + (-1.0) * steps
         assert steps <= sc.t_limit
         asked = [rec.asked for rec in log.records]

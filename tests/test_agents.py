@@ -230,6 +230,8 @@ class TestHyperparams:
             {"gamma": 1.5},
             {"batch_size": 64, "replay_capacity": 32},
             {"target_sync_every": 0},
+            {"episodes": 0},
+            {"episodes": -1},
         ],
     )
     def test_invalid_settings_rejected(self, kwargs):

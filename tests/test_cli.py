@@ -71,6 +71,17 @@ class TestTrain:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episodes_below_one_rejected(self, runner, toy_dir, tmp_path, episodes):
+        out = tmp_path / "model.txt"
+        result = runner.invoke(
+            main,
+            ["train", "--data", str(toy_dir), "--episodes", episodes, "--out", str(out)],
+        )
+        assert result.exit_code != 0
+        assert "--episodes" in result.output
+        assert not out.exists()
+
 
 class TestEval:
     def test_oracle_model_metrics(self, runner, toy_dir, oracle_path):
@@ -265,6 +276,16 @@ class TestAbduce:
         )
         assert result.exit_code == 0, result.output
         assert len(calls) == 3
+
+    def test_spaces_after_commas_ignored(self, runner, toy_dir):
+        spaced = runner.invoke(
+            main, ["abduce", "--data", str(toy_dir), "--facts", " d1, d2 "]
+        )
+        plain = runner.invoke(
+            main, ["abduce", "--data", str(toy_dir), "--facts", "d1,d2"]
+        )
+        assert spaced.exit_code == 0, spaced.output
+        assert spaced.output == plain.output
 
     def test_unknown_fact_fails(self, runner, toy_dir):
         result = runner.invoke(

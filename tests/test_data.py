@@ -245,6 +245,25 @@ class TestLoaderValidation:
         with pytest.raises(FileNotFoundError, match="directory"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("t_limit = 10", "t_limit = ten", "t_limit: invalid literal for int()"),
+            ("theta_R = 0.7", "theta_R = 1.5", "theta_R: theta_r must lie in (0, 1]"),
+            ("obs_cost = 10.0", "obs_cost = 0", "obs_cost: obs_cost must be positive"),
+            ("r_goal = 100.0", "r_goal = lots", "r_goal: could not convert"),
+            ("train_count = 8", "train_count = eight", "train_count: invalid literal"),
+        ],
+        ids=["t_limit", "theta_R", "obs_cost", "r_goal", "train_count"],
+    )
+    def test_bad_value_names_manifest_and_key(self, ds_dir, old, new, message):
+        manifest = ds_dir / "manifest.txt"
+        assert old in manifest.read_text()
+        manifest.write_text(manifest.read_text().replace(old, new))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value).startswith(f"{manifest}: {message}")
+
     def test_malformed_questions_file(self, ds_dir):
         (ds_dir / "questions.tsv").write_text("q001\tonly two fields\n")
         with pytest.raises(ValueError, match="3 tab-separated"):

@@ -6,18 +6,7 @@ import numpy as np
 import pytest
 
 from argseek.abduction import ExplainCache
-from argseek.env import (
-    EnvError,
-    Scenario,
-    answer,
-    as_answerer,
-    featurize,
-    legal_actions,
-    make_scenario,
-    reset,
-    step,
-)
-from argseek.kb import KnowledgeBase
+from argseek.env import EnvError, Scenario, featurize, legal_actions, reset, step
 
 
 @pytest.fixture(scope="module")
@@ -52,23 +41,15 @@ class TestScenario:
         assert sc.n_actions == 9
         assert sc.feature_dim == 19
 
-    def test_claim_as_candidate_rejected(self, toy):
-        with pytest.raises(EnvError):
-            Scenario(
-                claim="c",
-                atom_universe=toy.universe,
-                candidate_facts=("c", "d1"),
-                rules=toy.rules,
-                theta_r=0.65,
-                t_limit=4,
-            )
+    def test_replace_recomputes_candidates(self, toy):
+        sc = dataclasses.replace(toy.scenario, claim="d1")
+        assert sc.candidate_facts == ("c", "d2", "d3", "x1", "x2", "x3", "x4", "x5", "x6")
 
-    def test_duplicate_candidates_rejected(self, toy):
+    def test_duplicate_universe_atoms_rejected(self, toy):
         with pytest.raises(EnvError):
             Scenario(
                 claim="c",
-                atom_universe=toy.universe,
-                candidate_facts=("d1", "d1"),
+                atom_universe=("c", "d1", "d1"),
                 rules=toy.rules,
                 theta_r=0.65,
                 t_limit=4,
@@ -76,40 +57,12 @@ class TestScenario:
 
     def test_claim_outside_universe_rejected(self, toy):
         with pytest.raises(EnvError):
-            make_scenario("zz", toy.universe, toy.rules, 0.65, 4)
-
-    def test_candidate_outside_universe_rejected(self, toy):
-        with pytest.raises(EnvError):
-            Scenario(
-                claim="c",
-                atom_universe=("c", "d1"),
-                candidate_facts=("d1", "zz"),
-                rules=(),
-                theta_r=0.65,
-                t_limit=4,
-            )
+            Scenario("zz", toy.universe, toy.rules, 0.65, 4)
 
     @pytest.mark.parametrize("theta_r,t_limit", [(0.0, 4), (1.5, 4), (0.65, 0)])
     def test_bad_thresholds_rejected(self, toy, theta_r, t_limit):
         with pytest.raises(EnvError):
-            make_scenario("c", toy.universe, toy.rules, theta_r, t_limit)
-
-
-class TestAnswerer:
-    def test_bare_fact_sets_accepted(self):
-        ka = as_answerer(frozenset({"d1"}))
-        assert isinstance(ka, KnowledgeBase)
-        assert ka.facts == {"d1"}
-
-    def test_knowledge_base_passes_through(self):
-        kb = KnowledgeBase(facts=frozenset({"d1"}))
-        assert as_answerer(kb) is kb
-
-    def test_answer_confirms_known_fact(self, good_ka):
-        assert answer("d1", good_ka) == "d1"
-
-    def test_answer_silent_on_unknown_fact(self, good_ka):
-        assert answer("x6", good_ka) is None
+            Scenario("c", toy.universe, toy.rules, theta_r, t_limit)
 
 
 class TestReset:
@@ -132,7 +85,7 @@ class TestStep:
     def test_unanswered_ask_changes_nothing_but_flags(self, toy_scenario, good_ka):
         # x6 (index 8) is outside the answerer's knowledge.
         state, (res,) = play(toy_scenario, good_ka, [8])
-        assert res.info.answered is None
+        assert res.answered is None
         assert state.asked[8] == 1
         assert state.collected[8] == 0
         assert state.kq_facts == frozenset()
@@ -142,7 +95,7 @@ class TestStep:
 
     def test_collection_recomputes_rationality(self, toy_scenario, good_ka):
         state, (res,) = play(toy_scenario, good_ka, [0])
-        assert res.info.answered == "d1"
+        assert res.answered == "d1"
         assert state.collected[0] == 1
         assert state.kq_facts == {"d1"}
         assert state.rationality == 0.4000000000000001
@@ -151,7 +104,7 @@ class TestStep:
 
     def test_rationality_survives_unanswered_ask(self, toy_scenario, good_ka):
         state, results = play(toy_scenario, good_ka, [0, 8])
-        assert results[1].info.answered is None
+        assert results[1].answered is None
         assert state.rationality == results[0].state.rationality
         assert state.rationality_raw == results[0].state.rationality_raw
 
@@ -183,7 +136,7 @@ class TestStep:
         assert state.step == 4
 
     def test_action_space_exhaustion_ends_episode(self, toy):
-        sc = make_scenario("c", ("c", "x1", "x2"), (), 0.65, 10)
+        sc = Scenario("c", ("c", "x1", "x2"), (), 0.65, 10)
         state, results = play(sc, frozenset(), [0, 1])
         assert results[-1].done
         assert state.step == 2
@@ -213,7 +166,7 @@ class TestStep:
 
 class TestFeaturize:
     def test_layout_asked_collected_rationality(self, fig_rules):
-        sc = make_scenario("q1", ("q1", "q2", "q3", "q4", "q5"), fig_rules, 0.7, 10)
+        sc = Scenario("q1", ("q1", "q2", "q3", "q4", "q5"), fig_rules, 0.7, 10)
         assert sc.feature_dim == 9
         state, _ = play(sc, frozenset({"q5"}), [3])  # ask q5
         vec = featurize(state)

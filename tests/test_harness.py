@@ -20,7 +20,6 @@ from argseek.harness import (
     sweep_csv,
     sweep_tlimit,
 )
-from argseek.kb import KnowledgeBase
 
 
 class TestMetrics:
@@ -46,55 +45,45 @@ class TestPolicyFactory:
         factory = policy_factory("dfs", toy.scenario)
         rng = np.random.default_rng(0)
         ka = toy.kas[0]
-        _, _, _, log1 = run_episode(toy.scenario, ka, factory(), rng, keep_log=True)
-        _, _, _, log2 = run_episode(
-            toy.scenario, ka, factory(), np.random.default_rng(0), keep_log=True
-        )
+        log1 = run_episode(toy.scenario, ka, factory(), rng)
+        log2 = run_episode(toy.scenario, ka, factory(), np.random.default_rng(0))
         # Same seed and fresh cursors reproduce the same walk.
         assert [r.asked for r in log1.records] == [r.asked for r in log2.records]
+
+
+def outcome(log):
+    """(reward total, steps, success) of an episode; rewards are added in
+    step order, as the harness adds them."""
+    total = 0.0
+    for rec in log.records:
+        total += rec.reward
+    return total, len(log.records), log.success
 
 
 class TestRunEpisode:
     def test_oracle_model_solves_in_three_steps(self, toy, toy_oracle_model):
         policy = policy_factory("ddqn", toy.scenario, toy_oracle_model)()
-        total, steps, success, log = run_episode(
-            toy.scenario, toy.kas[0], policy, np.random.default_rng(0), keep_log=True
-        )
-        assert (total, steps, success) == (97.0, 3, True)
+        log = run_episode(toy.scenario, toy.kas[0], policy, np.random.default_rng(0))
+        assert outcome(log) == (97.0, 3, True)
+        assert [r.step for r in log.records] == [1, 2, 3]
         assert [r.asked for r in log.records] == ["d1", "d2", "d3"]
         assert [r.answered for r in log.records] == ["d1", "d2", "d3"]
         assert [r.reward for r in log.records] == [-1.0, -1.0, 99.0]
         assert [r.r_norm for r in log.records] == [
             0.4000000000000001, 0.6, 0.7,
         ]
-        assert log.success
-
-    def test_log_omitted_by_default(self, toy, toy_oracle_model):
-        policy = policy_factory("ddqn", toy.scenario, toy_oracle_model)()
-        *_, log = run_episode(toy.scenario, toy.kas[0], policy, np.random.default_rng(0))
-        assert log is None
-
-    def test_accepts_knowledge_base_answerer(self, toy, toy_oracle_model):
-        policy = policy_factory("ddqn", toy.scenario, toy_oracle_model)()
-        ka = KnowledgeBase(facts=toy.kas[0])
-        total, steps, success, _ = run_episode(
-            toy.scenario, ka, policy, np.random.default_rng(0)
-        )
-        assert (total, steps, success) == (97.0, 3, True)
+        assert [r.r_raw for r in log.records] == [8.000000000000002, 18.0, 28.0]
 
     def test_failed_episode_reported(self, toy):
         # A policy that insists on distractors never reaches the threshold.
         def junk_policy(state, legal, rng):
             return max(legal)
 
-        total, steps, success, log = run_episode(
-            toy.scenario, toy.kas[0], junk_policy, np.random.default_rng(0),
-            keep_log=True,
-        )
+        log = run_episode(toy.scenario, toy.kas[0], junk_policy, np.random.default_rng(0))
+        total, steps, success = outcome(log)
         assert not success
         assert steps == toy.scenario.t_limit
         assert total == -4.0
-        assert not log.success
 
 
 class TestEvaluate:
@@ -199,8 +188,8 @@ def replayed_metrics(kind, test_kas, scenario, seeds, models, t_limit):
         factory = policy_factory(kind, scenario, models[seed] if models else None)
         seed_total = 0.0
         for i, ka in enumerate(test_kas):
-            reward, steps, success, _ = run_episode(
-                scenario, ka, factory(), np.random.default_rng([seed, i]), cache=cache
+            reward, steps, success = outcome(
+                run_episode(scenario, ka, factory(), np.random.default_rng([seed, i]), cache=cache)
             )
             seed_total += reward
             total_steps += steps
