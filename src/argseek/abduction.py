@@ -49,8 +49,8 @@ class AbductionConfig:
     max_universe: int = 64
 
     def __post_init__(self) -> None:
-        if self.obs_cost <= 0:
-            raise ValueError("obs_cost must be positive")
+        if not 0 < self.obs_cost < math.inf:
+            raise ValueError("obs_cost must be positive and finite")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
 
@@ -70,11 +70,6 @@ class ProofStructure:
     @property
     def assumptions(self) -> tuple[str, ...]:
         return tuple(sorted(a for a, r in self.labels.items() if r is None))
-
-    @property
-    def used_rules(self) -> tuple[Rule, ...]:
-        seen = {r.key(): r for r in self.labels.values() if r is not None}
-        return tuple(sorted(seen.values(), key=Rule.sort_key))
 
     def listing(self) -> str:
         """Tab-separated export: atom, label, charge (one line per atom)."""
@@ -579,23 +574,6 @@ def rationality(
     return cache.rationality(kq.facts, claim)
 
 
-def _rationality_from_costs(
-    e_alpha: float, e_k: float, e_joint: float
-) -> RationalityResult:
-    r = e_alpha + e_k - e_joint
-    denom = e_alpha + e_k
-    r_norm = r / denom if denom > 0 else 0.0
-    if r < -1e-9:
-        logger.warning(
-            "negative rationality %r (e_alpha=%r e_k=%r e_joint=%r)",
-            r,
-            e_alpha,
-            e_k,
-            e_joint,
-        )
-    return RationalityResult(e_alpha, e_k, e_joint, r, r_norm)
-
-
 def construct_argument(
     kq: KnowledgeBase,
     claim: str,
@@ -687,8 +665,21 @@ class ExplainCache:
         return proof
 
     def rationality(self, facts: Iterable[str], claim: str) -> RationalityResult:
+        """The three costs, r = e_alpha + e_k - e_joint and r_norm =
+        r / (e_alpha + e_k), zero when that sum is zero."""
         fact_set = frozenset(facts)
         e_alpha = self.explain({claim}).total_cost
         e_k = self.explain(fact_set).total_cost
         e_joint = self.explain(fact_set | {claim}).total_cost
-        return _rationality_from_costs(e_alpha, e_k, e_joint)
+        r = e_alpha + e_k - e_joint
+        denom = e_alpha + e_k
+        r_norm = r / denom if denom > 0 else 0.0
+        if r < -1e-9:
+            logger.warning(
+                "negative rationality %r (e_alpha=%r e_k=%r e_joint=%r)",
+                r,
+                e_alpha,
+                e_k,
+                e_joint,
+            )
+        return RationalityResult(e_alpha, e_k, e_joint, r, r_norm)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .. import env
 from ..abduction import ExplainCache
-from ..env import Scenario, Transition
+from ..env import Scenario
 from .heuristics import random_next
 from .qnet import (
     AdamState,
@@ -60,6 +60,19 @@ class Hyperparams:
             raise ValueError("episodes must be >= 1")
 
 
+@dataclass(frozen=True)
+class Transition:
+    """One experience tuple for the replay buffer; ``legal_next`` is the
+    legal mask of the next state."""
+
+    s: np.ndarray
+    a: int
+    r: float
+    s_next: np.ndarray
+    done: bool
+    legal_next: np.ndarray
+
+
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform batch sampling."""
 
@@ -95,16 +108,16 @@ def epsilon_at(hp: Hyperparams, action_count: int) -> float:
     return hp.eps_start + (hp.eps_end - hp.eps_start) * frac
 
 
-def masked_argmax(q: np.ndarray, legal: frozenset[int]) -> int:
-    """Highest-Q legal action; ties resolve to the lowest index."""
-    if not legal:
+def masked_argmax(q: np.ndarray, legal: np.ndarray) -> int:
+    """Highest-Q action where the boolean mask ``legal`` is True; ties
+    resolve to the lowest index."""
+    choices = np.flatnonzero(legal)
+    if not len(choices):
         raise ValueError("no legal actions to choose from")
-    return min(legal, key=lambda i: (-q[i], i))
+    return int(choices[np.argmax(q[choices])])
 
 
-def greedy_action(
-    params: QNetworkParams, features: np.ndarray, legal: frozenset[int]
-) -> int:
+def greedy_action(params: QNetworkParams, features: np.ndarray, legal: np.ndarray) -> int:
     return masked_argmax(mlp_forward(params, features), legal)
 
 
@@ -117,8 +130,6 @@ def ddqn_target(
     """Bootstrap value: online net selects the action, target net scores it."""
     if transition.done:
         return transition.r
-    if not transition.legal_next:
-        raise ValueError("non-terminal transition with no legal next actions")
     a_star = masked_argmax(mlp_forward(theta, transition.s_next), transition.legal_next)
     q_minus = mlp_forward(theta_minus, transition.s_next)
     return transition.r + gamma * float(q_minus[a_star])
@@ -150,29 +161,29 @@ def train_ddqn(
     for ep in range(hp.episodes):
         ka = ka_pool[int(rng.integers(len(ka_pool)))]
         state = env.reset(scenario, ka)
-        features = env.featurize(state)
-        legal = env.legal_actions(state)
+        features = env.featurize(state, scenario)
+        legal = env.legal_actions(state, scenario)
         total = 0.0
-        # Each step's next features and legal set are the following step's
-        # own; a finished episode has no legal actions left.
-        while legal:
+        done = False
+        # Each step's next features and legal mask are the next step's own.
+        while not done:
             if rng.random() < epsilon_at(hp, action_count):
                 action = random_next(legal, rng)
             else:
                 action = greedy_action(params, features, legal)
             action_count += 1
             result = env.step(state, action, scenario, ka, cache)
-            state = result.state
+            state, done = result.state, result.done
             total += result.reward
-            s_next = env.featurize(state)
-            legal_next = frozenset() if result.done else env.legal_actions(state)
+            s_next = env.featurize(state, scenario)
+            legal_next = env.legal_actions(state, scenario)
             buffer.push(
                 Transition(
                     s=features,
                     a=action,
                     r=result.reward,
                     s_next=s_next,
-                    done=result.done,
+                    done=done,
                     legal_next=legal_next,
                 )
             )

@@ -1,10 +1,11 @@
 """Baseline questioners that walk the fact graph.
 
-All three strategies pick an unasked candidate index per step. The random
-strategy ignores the graph. DFS and BFS both start at the claim node and
-break ties uniformly at random; once the claim's component is exhausted they
-fall back to uniform choice over whatever is still askable, so disconnected
-graphs never strand an episode. The claim itself is never asked.
+All three strategies pick an unasked candidate index per step, where the
+boolean legal mask is True. The random strategy ignores the graph. DFS and
+BFS both start at the claim node and break ties uniformly at random; once
+the claim's component is exhausted they fall back to uniform choice over
+whatever is still askable, so disconnected graphs never strand an episode.
+The claim itself is never asked.
 """
 
 from __future__ import annotations
@@ -24,10 +25,7 @@ class TraversalState:
     layers. Lazily seeded from the claim on the first query.
     """
 
-    def __init__(self, kind: str, candidates: tuple[str, ...]):
-        if kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {kind!r}")
-        self.kind = kind
+    def __init__(self, candidates: tuple[str, ...]):
         self.candidates = candidates
         self.atom_index = {atom: i for i, atom in enumerate(candidates)}
         self.started = False
@@ -41,22 +39,22 @@ def _pick(items: list[str], rng: np.random.Generator) -> str:
     return items[int(rng.integers(len(items)))]
 
 
-def random_next(legal: frozenset[int], rng: np.random.Generator) -> int:
-    if not legal:
+def random_next(legal: np.ndarray, rng: np.random.Generator) -> int:
+    choices = np.flatnonzero(legal)
+    if not len(choices):
         raise ValueError("no legal actions left")
-    choices = sorted(legal)
-    return choices[int(rng.integers(len(choices)))]
+    return int(choices[rng.integers(len(choices))])
 
 
 def dfs_next(
     traversal: TraversalState,
     graph: FactGraph,
     claim: str,
-    legal: frozenset[int],
+    legal: np.ndarray,
     rng: np.random.Generator,
 ) -> int:
     """Next fact in randomized depth-first order from the claim node."""
-    if not legal:
+    if not legal.any():
         raise ValueError("no legal actions left")
     if not traversal.started:
         traversal.started = True
@@ -72,7 +70,7 @@ def dfs_next(
         traversal.visited.add(chosen)
         traversal.stack.append(chosen)
         idx = traversal.atom_index.get(chosen)
-        if idx is not None and idx in legal:
+        if idx is not None and legal[idx]:
             return idx
     return random_next(legal, rng)
 
@@ -81,7 +79,7 @@ def bfs_next(
     traversal: TraversalState,
     graph: FactGraph,
     claim: str,
-    legal: frozenset[int],
+    legal: np.ndarray,
     rng: np.random.Generator,
 ) -> int:
     """Next fact in randomized breadth-first order from the claim node.
@@ -89,7 +87,7 @@ def bfs_next(
     A depth layer is fully emitted, in uniformly random order, before any
     node one step deeper is offered.
     """
-    if not legal:
+    if not legal.any():
         raise ValueError("no legal actions left")
     if not traversal.started:
         traversal.started = True
@@ -108,6 +106,6 @@ def bfs_next(
         traversal.visited.update(fresh)
         traversal.next_frontier.extend(fresh)
         idx = traversal.atom_index.get(chosen)
-        if idx is not None and idx in legal:
+        if idx is not None and legal[idx]:
             return idx
     return random_next(legal, rng)

@@ -223,6 +223,8 @@ def abduce(data, facts, claim) -> None:
             raise click.ClickException(f"facts outside the universe: {unknown}")
         if claim_atom not in ds.universe:
             raise click.ClickException(f"claim {claim_atom!r} outside the universe")
+        if claim_atom in fact_set:
+            raise click.ClickException(f"--facts holds the claim {claim_atom!r} itself")
         kq = KnowledgeBase(facts=fact_set, rules=ds.rules)
         argument = construct_argument(kq, claim_atom, ds.config)
     except (OSError, ValueError) as exc:

@@ -110,8 +110,8 @@ class Dataset:
     def scenario(self) -> Scenario:
         return Scenario(
             claim=self.claim,
-            atom_universe=tuple(self.universe),
-            rules=tuple(self.rules),
+            atom_universe=self.universe,
+            rules=self.rules,
             theta_r=self.theta_r,
             t_limit=self.t_limit,
             r_goal=self.r_goal,
@@ -177,8 +177,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     if missing:
         raise ValueError(f"{manifest_path}: missing manifest keys {missing}")
 
-    universe = load_facts_file(base / entries["facts_file"])
-    rules = load_rules_file(base / entries["rules_file"])
+    facts_file = base / entries["facts_file"]
+    universe = tuple(load_facts_file(facts_file))
+    rules = tuple(load_rules_file(base / entries["rules_file"]))
     claim = entries["claim"]
     if claim not in universe:
         raise ValueError(f"claim {claim!r} is not in the facts file")
@@ -209,12 +210,11 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         )
 
     config = _set_manifest_values(manifest_path, entries, AbductionConfig(), _CONFIG_KEYS)
-    scenario = _set_manifest_values(
-        manifest_path,
-        entries,
-        Scenario(claim, tuple(universe), tuple(rules), theta_r=0.7, t_limit=10, config=config),
-        _SCENARIO_KEYS,
-    )
+    try:
+        scenario = Scenario(claim, universe, rules, theta_r=0.7, t_limit=10, config=config)
+    except ValueError as exc:
+        raise ValueError(f"{facts_file}: {exc}") from None
+    scenario = _set_manifest_values(manifest_path, entries, scenario, _SCENARIO_KEYS)
     questions: dict[str, tuple[str, str]] = {}
     q_file = base / entries.get("questions_file", "questions.tsv")
     if q_file.is_file():

@@ -1,21 +1,24 @@
 """Dialogue MDP for information-seeking question selection.
 
 A ``Scenario`` fixes the episode constants; its action space is every atom
-of the universe but the claim. The answerer is a bare fact set (K_A). The
-questioner picks one unasked candidate fact per step; the answerer reveals
-it only when it lies in K_A. Collected facts feed the questioner's knowledge
-base, whose normalized rationality toward the claim drives the goal
-condition. Every step costs ``r_time``; reaching ``theta_r`` additionally
-pays ``r_goal`` and ends the episode, as does exhausting the turn budget or
-the action space.
+of the universe but the claim (at least one). The answerer is a bare fact
+set (K_A). The questioner picks one unasked candidate fact per step; the
+answerer reveals it only when it lies in K_A. Collected facts feed the
+questioner's knowledge base, whose normalized rationality toward the claim
+drives the goal condition. Every step costs ``r_time``; reaching ``theta_r``
+additionally pays ``r_goal`` and ends the episode, as does exhausting the
+turn budget or the action space.
 
-``reset`` and ``step`` build new states and never change one. States are
-exposed both as structured records and as flat feature vectors
-``[asked ⊕ collected ⊕ [r_norm]]`` for the learning agent.
+An ``EnvState`` holds each fact once: the action indices asked, in order,
+the collected facts and their rationality. ``reset`` and ``step`` build new
+states and never change one. Every policy picks from ``legal_actions``, a
+boolean mask over ``candidate_facts``; ``featurize`` gives the learning
+agent the flat vector ``[asked ⊕ collected ⊕ [r_norm]]``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,11 +55,15 @@ class Scenario:
         if self.claim not in self.atom_universe:
             raise EnvError("claim missing from atom universe")
         candidates = tuple(a for a in self.atom_universe if a != self.claim)
+        if not candidates:
+            raise EnvError("atom universe has no atom besides the claim to ask")
         object.__setattr__(self, "candidate_facts", candidates)
         if self.t_limit < 1:
             raise EnvError("t_limit must be >= 1")
         if not 0.0 < self.theta_r <= 1.0:
             raise EnvError("theta_r must lie in (0, 1]")
+        if not (math.isfinite(self.r_goal) and math.isfinite(self.r_time)):
+            raise EnvError("r_goal and r_time must be finite")
 
     @property
     def n_actions(self) -> int:
@@ -71,16 +78,19 @@ class Scenario:
 class EnvState:
     """Questioner-visible episode state.
 
-    ``asked`` and ``collected`` are 0/1 tuples indexed like
-    ``candidate_facts``; a fact can only be collected by asking it.
+    ``asked`` holds the action indices asked so far, in the order asked;
+    ``kq_facts`` the answered ones among them, as candidate facts. ``r_raw``
+    and ``r_norm`` are the rationality of ``kq_facts`` toward the claim.
     """
 
-    asked: tuple[int, ...]
-    collected: tuple[int, ...]
-    rationality: float
-    step: int
-    kq_facts: frozenset[str]
-    rationality_raw: float = 0.0
+    asked: tuple[int, ...] = ()
+    kq_facts: frozenset[str] = frozenset()
+    r_raw: float = 0.0
+    r_norm: float = 0.0
+
+    @property
+    def step(self) -> int:
+        return len(self.asked)
 
 
 @dataclass(frozen=True)
@@ -93,35 +103,19 @@ class StepResult:
     answered: str | None
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One experience tuple for the replay buffer."""
-
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    done: bool
-    legal_next: frozenset[int]
-
-
 def reset(scenario: Scenario, ka: frozenset[str]) -> EnvState:
     """Start an episode: empty questioner knowledge, nothing asked yet."""
     unknown = ka - set(scenario.candidate_facts)
     if unknown:
         raise EnvError(f"answerer facts outside candidates: {sorted(unknown)[:5]}")
-    n = scenario.n_actions
-    return EnvState(
-        asked=(0,) * n,
-        collected=(0,) * n,
-        rationality=0.0,
-        step=0,
-        kq_facts=frozenset(),
-    )
+    return EnvState()
 
 
-def legal_actions(state: EnvState) -> frozenset[int]:
-    return frozenset(i for i, flag in enumerate(state.asked) if not flag)
+def legal_actions(state: EnvState, scenario: Scenario) -> np.ndarray:
+    """Boolean mask over ``candidate_facts``, True where not yet asked."""
+    legal = np.ones(scenario.n_actions, dtype=bool)
+    legal[list(state.asked)] = False
+    return legal
 
 
 def step(
@@ -138,43 +132,30 @@ def step(
     """
     if not 0 <= action < scenario.n_actions:
         raise EnvError(f"action index {action} out of range")
-    if state.asked[action]:
+    if action in state.asked:
         raise EnvError(f"action {action} was already taken this episode")
 
-    asked = list(state.asked)
-    asked[action] = 1
-    collected = list(state.collected)
-    kq_facts = state.kq_facts
-
+    asked = state.asked + (action,)
     query = scenario.candidate_facts[action]
     answered = query if query in ka else None
-    r_raw = state.rationality_raw
-    r_norm = state.rationality
-    if answered is not None:
-        collected[action] = 1
-        kq_facts = kq_facts | {query}
+    if answered is None:
+        new_state = EnvState(asked, state.kq_facts, state.r_raw, state.r_norm)
+    else:
+        kq_facts = state.kq_facts | {query}
         rat = cache.rationality(kq_facts, scenario.claim)
-        r_raw, r_norm = rat.r, rat.r_norm
+        new_state = EnvState(asked, kq_facts, rat.r, rat.r_norm)
 
-    new_step = state.step + 1
-    success = r_norm >= scenario.theta_r
-    done = success or new_step >= scenario.t_limit or 0 not in asked
+    success = new_state.r_norm >= scenario.theta_r
+    done = success or len(asked) >= scenario.t_limit or len(asked) == scenario.n_actions
     reward = scenario.r_time + (scenario.r_goal if success else 0.0)
-
-    new_state = EnvState(
-        asked=tuple(asked),
-        collected=tuple(collected),
-        rationality=r_norm,
-        step=new_step,
-        kq_facts=kq_facts,
-        rationality_raw=r_raw,
-    )
     return StepResult(new_state, reward, done, answered)
 
 
-def featurize(state: EnvState) -> np.ndarray:
+def featurize(state: EnvState, scenario: Scenario) -> np.ndarray:
     """Flat observation: asked flags, collected flags, then r_norm."""
-    return np.asarray(
-        list(state.asked) + list(state.collected) + [state.rationality],
-        dtype=np.float64,
-    )
+    n = scenario.n_actions
+    vec = np.zeros(2 * n + 1)
+    vec[list(state.asked)] = 1.0
+    vec[[n + i for i in state.asked if scenario.candidate_facts[i] in state.kq_facts]] = 1.0
+    vec[-1] = state.r_norm
+    return vec

@@ -31,9 +31,10 @@ from .kb import build_fact_graph
 
 UNKNOWN_ANSWER = "I do not know."
 
-# A policy maps (state, legal actions, rng) to an action index; fresh per
-# episode so traversal cursors never leak across episodes.
-Policy = Callable[[EnvState, frozenset[int], np.random.Generator], int]
+# A policy maps (state, legal mask, rng) to an action index; the mask is
+# ``legal_actions``'s boolean array over ``candidate_facts``. A factory is
+# called once per episode so traversal cursors never leak across episodes.
+Policy = Callable[[EnvState, np.ndarray, np.random.Generator], int]
 PolicyFactory = Callable[[], Policy]
 
 
@@ -78,32 +79,26 @@ def policy_factory(
         if model is None:
             raise ValueError("ddqn strategy needs a trained model")
 
-        def make_greedy() -> Policy:
-            def act(state: EnvState, legal: frozenset[int], rng: np.random.Generator) -> int:
-                return greedy_action(model, featurize(state), legal)
+        def greedy(state: EnvState, legal: np.ndarray, rng: np.random.Generator) -> int:
+            return greedy_action(model, featurize(state, scenario), legal)
 
-            return act
-
-        return make_greedy
+        return lambda: greedy
     if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {kind!r}")
     if kind == "random":
 
-        def make_random() -> Policy:
-            def act(state: EnvState, legal: frozenset[int], rng: np.random.Generator) -> int:
-                return random_next(legal, rng)
+        def uniform(state: EnvState, legal: np.ndarray, rng: np.random.Generator) -> int:
+            return random_next(legal, rng)
 
-            return act
-
-        return make_random
+        return lambda: uniform
 
     graph = build_fact_graph(scenario.rules, scenario.atom_universe)
     next_fn = dfs_next if kind == "dfs" else bfs_next
 
     def make_traversal() -> Policy:
-        walk = TraversalState(kind, scenario.candidate_facts)
+        walk = TraversalState(scenario.candidate_facts)
 
-        def act(state: EnvState, legal: frozenset[int], rng: np.random.Generator) -> int:
+        def act(state: EnvState, legal: np.ndarray, rng: np.random.Generator) -> int:
             return next_fn(walk, graph, scenario.claim, legal, rng)
 
         return act
@@ -123,28 +118,22 @@ def run_episode(
         cache = ExplainCache(scenario.rules, scenario.config)
     state = reset(scenario, ka)
     records: list[StepRecord] = []
-    success = False
-    while True:
-        legal = legal_actions(state)
-        if not legal:
-            break
-        action = policy(state, legal, rng)
+    done = False
+    while not done:
+        action = policy(state, legal_actions(state, scenario), rng)
         result = step(state, action, scenario, ka, cache=cache)
-        state = result.state
+        state, done = result.state, result.done
         records.append(
             StepRecord(
                 step=state.step,
                 asked=scenario.candidate_facts[action],
                 answered=result.answered,
-                r_raw=state.rationality_raw,
-                r_norm=state.rationality,
+                r_raw=state.r_raw,
+                r_norm=state.r_norm,
                 reward=result.reward,
             )
         )
-        if result.done:
-            success = state.rationality >= scenario.theta_r
-            break
-    return EpisodeLog(records=tuple(records), success=success)
+    return EpisodeLog(records=tuple(records), success=state.r_norm >= scenario.theta_r)
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:

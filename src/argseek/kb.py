@@ -129,9 +129,6 @@ class KnowledgeBase:
     facts: frozenset[str] = frozenset()
     rules: tuple[Rule, ...] = ()
 
-    def with_fact(self, atom: str) -> "KnowledgeBase":
-        return KnowledgeBase(self.facts | {atom}, self.rules)
-
 
 def make_knowledge_base(facts: Iterable[str], rules: Iterable[Rule]) -> KnowledgeBase:
     """Build a KnowledgeBase, deduplicating rules by premise set + conclusion.

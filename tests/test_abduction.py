@@ -187,16 +187,16 @@ class TestProofStructure:
             assert label == "ASSUME" or "->" in label
             assert float(charge) == proof.charges[atom]
 
-    def test_used_rules_deduplicated(self, fig_rules, default_config):
-        proof = explain({"q1", "q3", "q4"}, fig_rules, default_config)
-        assert len(proof.used_rules) == 2
-        assert {r.conclusion for r in proof.used_rules} == {"q1", "q3"}
-
 
 class TestConfigValidation:
     def test_non_positive_obs_cost_rejected(self):
         with pytest.raises(ValueError):
             AbductionConfig(obs_cost=0.0)
+
+    @pytest.mark.parametrize("obs_cost", [float("nan"), float("inf")])
+    def test_non_finite_obs_cost_rejected(self, obs_cost):
+        with pytest.raises(ValueError, match="finite"):
+            AbductionConfig(obs_cost=obs_cost)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):

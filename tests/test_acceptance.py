@@ -20,11 +20,10 @@ from argseek.abduction import (
     explain,
     rationality,
 )
-from argseek.agents.ddqn import Hyperparams, ddqn_target, train_ddqn
+from argseek.agents.ddqn import Hyperparams, Transition, ddqn_target, train_ddqn
 from argseek.agents.qnet import QNetworkParams, init_qnet, mlp_gradients
 from argseek.cli import main
 from argseek.data import GenParams, build_synthetic, build_toy
-from argseek.env import Transition
 from argseek.harness import evaluate, policy_factory, run_episode, sweep_tlimit
 from argseek.kb import KnowledgeBase
 from conftest import random_instance
@@ -123,7 +122,7 @@ def test_criterion_05_target_arithmetic():
     for r in (-1.0, 0.0, 99.0, 2.5):
         terminal = Transition(
             s=np.zeros(2), a=0, r=r, s_next=np.zeros(2), done=True,
-            legal_next=frozenset(),
+            legal_next=np.zeros(1, dtype=bool),
         )
         assert ddqn_target(terminal, flat_net([1.0]), flat_net([2.0]), 0.95) == r
 
@@ -133,7 +132,7 @@ def test_criterion_05_target_arithmetic():
     target = flat_net([0.0, 9.0, 4.0])
     t = Transition(
         s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2), done=False,
-        legal_next=frozenset({1, 2}),
+        legal_next=np.array([False, True, True]),
     )
     y = ddqn_target(t, online, target, 0.95)
     assert abs(y - 2.8) <= 1e-12

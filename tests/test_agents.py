@@ -7,6 +7,7 @@ from argseek import env
 from argseek.agents.ddqn import (
     Hyperparams,
     ReplayBuffer,
+    Transition,
     ddqn_target,
     epsilon_at,
     greedy_action,
@@ -32,8 +33,14 @@ from argseek.agents.qnet import (
     mlp_gradients,
     save_qnet,
 )
-from argseek.env import Transition
 from argseek.kb import FactGraph
+
+
+def mask(n, indices):
+    """Boolean legal mask of length n, True at ``indices``."""
+    legal = np.zeros(n, dtype=bool)
+    legal[list(indices)] = True
+    return legal
 
 
 def loss_of(params, x, actions, targets):
@@ -252,26 +259,55 @@ class TestHyperparams:
         assert epsilon_at(hp, 0) == hp.eps_end
 
 
+def random_masks(rng, count):
+    """(q, legal) pairs: sizes 1-130, a third with q rounded to force ties,
+    a fifth with exactly one legal action."""
+    for k in range(count):
+        n = int(rng.integers(1, 131))
+        q = rng.normal(size=n)
+        if k % 3 == 0:
+            q = np.round(q)
+        if k % 5 == 0:
+            legal = mask(n, [rng.integers(n)])
+        else:
+            legal = rng.random(n) < rng.uniform(0.05, 1.0)
+            legal[rng.integers(n)] = True
+        yield q, legal
+
+
 class TestMaskedArgmax:
     def test_respects_mask(self):
         q = np.array([9.0, 1.0, 5.0])
-        assert masked_argmax(q, frozenset({1, 2})) == 2
-        assert masked_argmax(q, frozenset({1})) == 1
+        assert masked_argmax(q, mask(3, {1, 2})) == 2
+        assert masked_argmax(q, mask(3, {1})) == 1
+        # Even when every legal Q is -inf, the pick stays legal.
+        assert masked_argmax(np.array([-np.inf, -np.inf, 1.0]), mask(3, {1})) == 1
 
     def test_ties_break_to_lowest_index(self):
         q = np.array([3.0, 3.0, 3.0])
-        assert masked_argmax(q, frozenset({0, 1, 2})) == 0
-        assert masked_argmax(q, frozenset({1, 2})) == 1
+        assert masked_argmax(q, mask(3, {0, 1, 2})) == 0
+        assert masked_argmax(q, mask(3, {1, 2})) == 1
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            masked_argmax(np.array([1.0]), frozenset())
+            masked_argmax(np.array([1.0]), mask(1, ()))
+
+    def test_matches_set_reference(self):
+        # Reference: the highest-Q index of the legal set, ties to the
+        # lowest index, as picked from a set of indices.
+        rng = np.random.default_rng(0)
+        for q, legal in random_masks(rng, 1500):
+            legal_set = frozenset(np.flatnonzero(legal).tolist())
+            want = min(legal_set, key=lambda i: (-q[i], i))
+            got = masked_argmax(q, legal)
+            assert type(got) is int
+            assert got == want
 
     def test_greedy_action_uses_network_output(self):
         params = linear_net([0.0, 5.0, 1.0])
         features = np.zeros(2)
-        assert greedy_action(params, features, frozenset({0, 1, 2})) == 1
-        assert greedy_action(params, features, frozenset({0, 2})) == 2
+        assert greedy_action(params, features, mask(3, {0, 1, 2})) == 1
+        assert greedy_action(params, features, mask(3, {0, 2})) == 2
 
 
 class TestDdqnTarget:
@@ -281,7 +317,7 @@ class TestDdqnTarget:
         for r in (-1.0, 99.0, 0.125):
             t = Transition(
                 s=np.zeros(2), a=0, r=r, s_next=np.zeros(2),
-                done=True, legal_next=frozenset(),
+                done=True, legal_next=mask(2, ()),
             )
             assert ddqn_target(t, online, target, 0.95) == r
 
@@ -294,7 +330,7 @@ class TestDdqnTarget:
         target = linear_net([0.0, 9.0, 4.0])
         t = Transition(
             s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2),
-            done=False, legal_next=frozenset({1, 2}),
+            done=False, legal_next=mask(3, {1, 2}),
         )
         assert ddqn_target(t, online, target, 0.95) == pytest.approx(2.8, abs=1e-12)
 
@@ -302,7 +338,7 @@ class TestDdqnTarget:
         online = linear_net([1.0])
         t = Transition(
             s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2),
-            done=False, legal_next=frozenset(),
+            done=False, legal_next=mask(1, ()),
         )
         with pytest.raises(ValueError):
             ddqn_target(t, online, online, 0.95)
@@ -401,14 +437,15 @@ def diamond_graph():
 
 def walk_order(kind, seed):
     graph, candidates = diamond_graph()
-    traversal = TraversalState(kind, candidates)
+    traversal = TraversalState(candidates)
     next_fn = dfs_next if kind == "dfs" else bfs_next
     rng = np.random.default_rng(seed)
-    legal = set(range(len(candidates)))
+    legal = np.ones(len(candidates), dtype=bool)
     order = []
-    while legal:
-        idx = next_fn(traversal, graph, "c", frozenset(legal), rng)
-        legal.discard(idx)
+    while legal.any():
+        idx = next_fn(traversal, graph, "c", legal.copy(), rng)
+        assert legal[idx]
+        legal[idx] = False
         order.append(candidates[idx])
     return order
 
@@ -417,18 +454,27 @@ class TestHeuristics:
     def test_strategy_kinds(self):
         assert STRATEGY_KINDS == ("random", "dfs", "bfs")
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TraversalState("greedy", ("a",))
-
     def test_random_next_uniform_coverage(self):
         rng = np.random.default_rng(0)
-        seen = {random_next(frozenset({2, 5, 7}), rng) for _ in range(200)}
+        seen = {random_next(mask(8, {2, 5, 7}), rng) for _ in range(200)}
         assert seen == {2, 5, 7}
 
     def test_random_next_empty_rejected(self):
         with pytest.raises(ValueError):
-            random_next(frozenset(), np.random.default_rng(0))
+            random_next(mask(3, ()), np.random.default_rng(0))
+
+    def test_random_next_matches_sorted_set_reference(self):
+        # Reference: one draw indexing the sorted legal set. Both streams
+        # start alike and must stay alike, draw for draw.
+        masks = list(random_masks(np.random.default_rng(1), 1500))
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _, legal in masks:
+            legal_set = frozenset(np.flatnonzero(legal).tolist())
+            want = sorted(legal_set)[ref_rng.integers(len(legal_set))]
+            got = random_next(legal, rng)
+            assert type(got) is int
+            assert got == want
+        assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_dfs_descends_before_visiting_siblings(self, seed):
@@ -452,16 +498,16 @@ class TestHeuristics:
 
     def test_traversal_skips_already_asked(self):
         graph, candidates = diamond_graph()
-        traversal = TraversalState("dfs", candidates)
+        traversal = TraversalState(candidates)
         rng = np.random.default_rng(1)
-        legal = frozenset({1, 2, 3, 4})  # a (index 0) was already asked
+        legal = mask(5, {1, 2, 3, 4})  # a (index 0) was already asked
         idx = dfs_next(traversal, graph, "c", legal, rng)
-        assert idx in legal
+        assert legal[idx]
 
     @pytest.mark.parametrize("kind", ["dfs", "bfs"])
     def test_empty_legal_rejected(self, kind):
         graph, candidates = diamond_graph()
-        traversal = TraversalState(kind, candidates)
+        traversal = TraversalState(candidates)
         next_fn = dfs_next if kind == "dfs" else bfs_next
         with pytest.raises(ValueError):
-            next_fn(traversal, graph, "c", frozenset(), np.random.default_rng(0))
+            next_fn(traversal, graph, "c", mask(5, ()), np.random.default_rng(0))

@@ -294,6 +294,16 @@ class TestAbduce:
         assert result.exit_code != 0
         assert "outside the universe" in result.output
 
+    @pytest.mark.parametrize("args", [["--facts", "c"], ["--facts", "d1,d2", "--claim", "d2"]])
+    def test_claim_among_facts_fails(self, runner, toy_dir, args):
+        # No dialogue can collect the claim, and load_dataset refuses
+        # answerer sets that hold it.
+        result = runner.invoke(main, ["abduce", "--data", str(toy_dir), *args])
+        assert result.exit_code == 1
+        claim = args[-1]
+        assert f"--facts holds the claim {claim!r}" in result.output
+        assert "R_norm" not in result.output
+
     def test_unknown_claim_fails(self, runner, toy_dir):
         result = runner.invoke(
             main, ["abduce", "--data", str(toy_dir), "--claim", "zz"]

@@ -177,6 +177,14 @@ class TestRoundTrip:
         assert loaded.config == benchmark_small.config
         assert loaded.questions == benchmark_small.questions
 
+    def test_load_of_save_equals_built_dataset(self, tmp_path, toy, benchmark_small):
+        # Loading gives the same field types the generators build, tuples
+        # included, so the whole record compares equal.
+        for name, built in (("toy", toy), ("small", benchmark_small)):
+            loaded = load_dataset(save_dataset(built, tmp_path / name))
+            assert type(loaded.universe) is tuple and type(loaded.rules) is tuple
+            assert loaded == built
+
     def test_generate_writes_expected_files(self, tmp_path):
         manifest = generate_synthetic(GenParams(**SMALL), tmp_path / "ds")
         base = manifest.parent
@@ -251,10 +259,18 @@ class TestLoaderValidation:
             ("t_limit = 10", "t_limit = ten", "t_limit: invalid literal for int()"),
             ("theta_R = 0.7", "theta_R = 1.5", "theta_R: theta_r must lie in (0, 1]"),
             ("obs_cost = 10.0", "obs_cost = 0", "obs_cost: obs_cost must be positive"),
+            ("obs_cost = 10.0", "obs_cost = nan", "obs_cost: obs_cost must be positive and finite"),
+            ("obs_cost = 10.0", "obs_cost = inf", "obs_cost: obs_cost must be positive and finite"),
             ("r_goal = 100.0", "r_goal = lots", "r_goal: could not convert"),
+            ("r_goal = 100.0", "r_goal = inf", "r_goal: r_goal and r_time must be finite"),
+            ("r_goal = 100.0", "r_goal = nan", "r_goal: r_goal and r_time must be finite"),
+            ("r_time = -1.0", "r_time = -inf", "r_time: r_goal and r_time must be finite"),
             ("train_count = 8", "train_count = eight", "train_count: invalid literal"),
         ],
-        ids=["t_limit", "theta_R", "obs_cost", "r_goal", "train_count"],
+        ids=[
+            "t_limit", "theta_R", "obs_cost", "obs_cost-nan", "obs_cost-inf", "r_goal",
+            "r_goal-inf", "r_goal-nan", "r_time-inf", "train_count",
+        ],
     )
     def test_bad_value_names_manifest_and_key(self, ds_dir, old, new, message):
         manifest = ds_dir / "manifest.txt"
@@ -263,6 +279,17 @@ class TestLoaderValidation:
         with pytest.raises(ValueError) as err:
             load_dataset(manifest)
         assert str(err.value).startswith(f"{manifest}: {message}")
+
+    def test_universe_of_only_the_claim_names_facts_file(self, ds_dir):
+        (ds_dir / "facts.txt").write_text("q000\n")
+        (ds_dir / "rules.txt").write_text("")
+        for ka_file in (ds_dir / "ka").glob("*.txt"):
+            ka_file.write_text("")
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == (
+            f"{ds_dir / 'facts.txt'}: atom universe has no atom besides the claim to ask"
+        )
 
     def test_malformed_questions_file(self, ds_dir):
         (ds_dir / "questions.tsv").write_text("q001\tonly two fields\n")

@@ -77,7 +77,7 @@ class TestRunEpisode:
     def test_failed_episode_reported(self, toy):
         # A policy that insists on distractors never reaches the threshold.
         def junk_policy(state, legal, rng):
-            return max(legal)
+            return int(np.flatnonzero(legal)[-1])
 
         log = run_episode(toy.scenario, toy.kas[0], junk_policy, np.random.default_rng(0))
         total, steps, success = outcome(log)

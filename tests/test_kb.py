@@ -5,7 +5,6 @@ import pytest
 from argseek.kb import (
     DEFAULT_RULE_WEIGHT,
     KBError,
-    KnowledgeBase,
     Rule,
     build_fact_graph,
     check_atom_id,
@@ -104,12 +103,6 @@ class TestParseRule:
 
 
 class TestKnowledgeBase:
-    def test_with_fact_is_persistent(self):
-        kb = KnowledgeBase(facts=frozenset({"a"}))
-        kb2 = kb.with_fact("b")
-        assert kb.facts == {"a"}
-        assert kb2.facts == {"a", "b"}
-
     def test_make_kb_deduplicates_rules(self, caplog):
         r1 = parse_rule("a & b -> c :: 1.0")
         r2 = parse_rule("b & a -> c :: 2.0")  # same key, different weights
