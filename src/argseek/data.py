@@ -1,9 +1,10 @@
 """Dataset loading, saving, and synthetic generation.
 
 A dataset is a directory: ``facts.txt`` (one atom per line), ``rules.txt``,
-``ka/NNNN.txt`` (one answerer knowledge set per file), ``questions.tsv``
-(surface text per atom), and ``manifest.txt`` with ``key = value`` lines
-tying them together with the episode constants.
+``kas.txt`` (every answerer knowledge set, one per line in dataset order,
+atoms sorted and space-separated; a blank line is an empty set),
+``questions.tsv`` (surface text per atom), and ``manifest.txt`` with
+``key = value`` lines tying them together with the episode constants.
 
 The synthetic generator reproduces corpus *shape*, not content. It builds a
 claim with a small derivation backbone whose rule weights make explanation
@@ -172,7 +173,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     base = manifest_path.parent
     entries = _parse_manifest(manifest_path)
 
-    required = ["facts_file", "rules_file", "ka_dir", "claim", "train_count"]
+    required = ["facts_file", "rules_file", "ka_file", "claim", "train_count"]
     missing = [k for k in required if k not in entries]
     if missing:
         raise ValueError(f"{manifest_path}: missing manifest keys {missing}")
@@ -182,23 +183,21 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     rules = tuple(load_rules_file(base / entries["rules_file"]))
     claim = entries["claim"]
     if claim not in universe:
-        raise ValueError(f"claim {claim!r} is not in the facts file")
+        raise ValueError(f"{manifest_path}: claim: {claim!r} is not in {facts_file}")
 
-    ka_dir = base / entries["ka_dir"]
-    if not ka_dir.is_dir():
-        raise FileNotFoundError(f"K_A directory not found: {ka_dir}")
+    ka_file = base / entries["ka_file"]
     atom_set = set(universe)
     kas = []
-    for ka_file in sorted(ka_dir.glob("*.txt")):
-        atoms = load_facts_file(ka_file)
-        bad = [a for a in atoms if a not in atom_set]
+    for lineno, line in enumerate(ka_file.read_text(encoding="utf-8").splitlines(), 1):
+        ka = frozenset(line.split())
+        bad = sorted(ka - atom_set)
         if bad:
-            raise ValueError(f"{ka_file}: atoms outside the universe: {bad[:5]}")
-        if claim in atoms:
-            raise ValueError(f"{ka_file}: answerer set contains the claim")
-        kas.append(frozenset(atoms))
+            raise ValueError(f"{ka_file}:{lineno}: atoms outside the universe: {bad[:5]}")
+        if claim in ka:
+            raise ValueError(f"{ka_file}:{lineno}: answerer set contains the claim")
+        kas.append(ka)
     if not kas:
-        raise ValueError(f"{ka_dir}: no K_A files found")
+        raise ValueError(f"{ka_file}: no answerer sets found")
 
     try:
         train_count = int(entries["train_count"])
@@ -206,7 +205,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise ValueError(f"{manifest_path}: train_count: {exc}") from None
     if not 0 < train_count < len(kas):
         raise ValueError(
-            f"train_count {train_count} does not split {len(kas)} K_A files"
+            f"{manifest_path}: train_count: {train_count} does not split "
+            f"{len(kas)} answerer sets"
         )
 
     config = _set_manifest_values(manifest_path, entries, AbductionConfig(), _CONFIG_KEYS)
@@ -253,13 +253,9 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     (base / "rules.txt").write_text(
         "".join(f"{render_rule(r)}\n" for r in dataset.rules), encoding="utf-8"
     )
-    ka_dir = base / "ka"
-    ka_dir.mkdir(exist_ok=True)
-    width = max(4, len(str(len(dataset.kas) - 1)))
-    for i, ka in enumerate(dataset.kas):
-        (ka_dir / f"{i:0{width}d}.txt").write_text(
-            "".join(f"{a}\n" for a in sorted(ka)), encoding="utf-8"
-        )
+    (base / "kas.txt").write_text(
+        "".join(" ".join(sorted(ka)) + "\n" for ka in dataset.kas), encoding="utf-8"
+    )
     if dataset.questions:
         lines = [
             f"{atom}\t{q}\t{a}\n"
@@ -270,7 +266,7 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     manifest.write_text(
         "facts_file = facts.txt\n"
         "rules_file = rules.txt\n"
-        "ka_dir = ka\n"
+        "ka_file = kas.txt\n"
         f"claim = {dataset.claim}\n"
         f"theta_R = {dataset.theta_r!r}\n"
         f"t_limit = {dataset.t_limit}\n"

@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 logger = logging.getLogger(__name__)
 
@@ -124,29 +124,10 @@ def render_rule(rule: Rule) -> str:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
-    """A fact set plus a rule set. Immutable; rules are kept sorted."""
+    """A fact set plus a rule set. Immutable."""
 
     facts: frozenset[str] = frozenset()
     rules: tuple[Rule, ...] = ()
-
-
-def make_knowledge_base(facts: Iterable[str], rules: Iterable[Rule]) -> KnowledgeBase:
-    """Build a KnowledgeBase, deduplicating rules by premise set + conclusion.
-
-    Duplicates are logged and dropped; the survivor is the first occurrence.
-    """
-    unique: dict[tuple, Rule] = {}
-    dropped = 0
-    for rule in rules:
-        k = rule.key()
-        if k in unique:
-            dropped += 1
-            continue
-        unique[k] = rule
-    if dropped:
-        logger.warning("dropped %d duplicate rule(s)", dropped)
-    ordered = tuple(sorted(unique.values(), key=Rule.sort_key))
-    return KnowledgeBase(frozenset(check_atom_id(f) for f in facts), ordered)
 
 
 @dataclass(frozen=True)

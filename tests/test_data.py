@@ -1,5 +1,6 @@
 """Dataset generation, serialization round trips, and loader validation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -180,7 +181,8 @@ class TestRoundTrip:
     def test_load_of_save_equals_built_dataset(self, tmp_path, toy, benchmark_small):
         # Loading gives the same field types the generators build, tuples
         # included, so the whole record compares equal.
-        for name, built in (("toy", toy), ("small", benchmark_small)):
+        default = build_synthetic(GenParams())
+        for name, built in (("toy", toy), ("small", benchmark_small), ("default", default)):
             loaded = load_dataset(save_dataset(built, tmp_path / name))
             assert type(loaded.universe) is tuple and type(loaded.rules) is tuple
             assert loaded == built
@@ -191,14 +193,33 @@ class TestRoundTrip:
         assert (base / "facts.txt").is_file()
         assert (base / "rules.txt").is_file()
         assert (base / "questions.tsv").is_file()
-        assert len(list((base / "ka").glob("*.txt"))) == SMALL["ka_count"]
+        lines = (base / "kas.txt").read_text().splitlines()
+        assert len(lines) == SMALL["ka_count"]
+        assert not (base / "ka").exists()
 
     def test_generation_is_byte_deterministic(self, tmp_path):
         m1 = generate_synthetic(GenParams(**SMALL), tmp_path / "a")
         m2 = generate_synthetic(GenParams(**SMALL), tmp_path / "b")
         for name in ("facts.txt", "rules.txt", "questions.tsv", "manifest.txt",
-                     "ka/0000.txt", "ka/0011.txt"):
+                     "kas.txt"):
             assert (m1.parent / name).read_bytes() == (m2.parent / name).read_bytes()
+
+    def test_kas_file_holds_one_sorted_set_per_line(self, tmp_path, toy):
+        # A blank line is an empty set, so line n stays kas[n-1].
+        ds = dataclasses.replace(toy, kas=toy.kas[:1] + (frozenset(),) + toy.kas[2:])
+        manifest = save_dataset(ds, tmp_path / "toy")
+        lines = (manifest.parent / "kas.txt").read_text().splitlines()
+        assert lines[0] == " ".join(sorted(toy.kas[0]))
+        assert lines[1] == ""
+        assert load_dataset(manifest) == ds
+
+    def test_regenerate_into_same_directory(self, tmp_path):
+        # A second, smaller generation into the same directory must leave
+        # nothing of the first behind for the loader to pick up.
+        second = GenParams(**{**SMALL, "ka_count": 10, "seed": 2})
+        generate_synthetic(GenParams(**SMALL), tmp_path / "ds")
+        manifest = generate_synthetic(second, tmp_path / "ds")
+        assert load_dataset(manifest) == build_synthetic(second)
 
 
 class TestLoaderValidation:
@@ -226,32 +247,60 @@ class TestLoaderValidation:
         manifest.write_text(
             manifest.read_text().replace("claim = q000", "claim = zz")
         )
-        with pytest.raises(ValueError, match="claim"):
+        with pytest.raises(ValueError, match="claim") as err:
             load_dataset(manifest)
+        assert str(err.value).startswith(
+            f"{manifest}: claim: 'zz' is not in {ds_dir / 'facts.txt'}"
+        )
 
     def test_ka_atom_outside_universe(self, ds_dir):
-        (ds_dir / "ka" / "0000.txt").write_text("q001\nzz\n")
-        with pytest.raises(ValueError, match="outside the universe"):
+        kas_file = ds_dir / "kas.txt"
+        kas_file.write_text("q001 zz\n" + kas_file.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="outside the universe") as err:
             load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == f"{kas_file}:1: atoms outside the universe: ['zz']"
 
     def test_ka_containing_claim(self, ds_dir):
-        (ds_dir / "ka" / "0000.txt").write_text("q000\nq001\n")
-        with pytest.raises(ValueError, match="contains the claim"):
+        kas_file = ds_dir / "kas.txt"
+        kas_file.write_text("q000 q001\n" + kas_file.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="contains the claim") as err:
             load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == f"{kas_file}:1: answerer set contains the claim"
+
+    def test_empty_kas_file(self, ds_dir):
+        (ds_dir / "kas.txt").write_text("")
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == f"{ds_dir / 'kas.txt'}: no answerer sets found"
 
     def test_bad_train_split(self, ds_dir):
         manifest = ds_dir / "manifest.txt"
         manifest.write_text(
             manifest.read_text().replace("train_count = 8", "train_count = 12")
         )
-        with pytest.raises(ValueError, match="train_count"):
+        with pytest.raises(ValueError, match="train_count") as err:
             load_dataset(manifest)
+        assert str(err.value).startswith(
+            f"{manifest}: train_count: 12 does not split 12 answerer sets"
+        )
 
-    def test_missing_ka_dir(self, ds_dir):
+    def test_missing_ka_file(self, ds_dir):
         manifest = ds_dir / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("ka_dir = ka", "ka_dir = kb"))
-        with pytest.raises(FileNotFoundError, match="directory"):
+        manifest.write_text(
+            manifest.read_text().replace("ka_file = kas.txt", "ka_file = kb.txt")
+        )
+        with pytest.raises(FileNotFoundError) as err:
             load_dataset(manifest)
+        assert str(ds_dir / "kb.txt") in str(err.value)
+
+    def test_old_ka_dir_manifest_rejected(self, ds_dir):
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(
+            manifest.read_text().replace("ka_file = kas.txt", "ka_dir = ka")
+        )
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest}: missing manifest keys ['ka_file']"
 
     @pytest.mark.parametrize(
         "old,new,message",
@@ -283,8 +332,7 @@ class TestLoaderValidation:
     def test_universe_of_only_the_claim_names_facts_file(self, ds_dir):
         (ds_dir / "facts.txt").write_text("q000\n")
         (ds_dir / "rules.txt").write_text("")
-        for ka_file in (ds_dir / "ka").glob("*.txt"):
-            ka_file.write_text("")
+        (ds_dir / "kas.txt").write_text("\n" * SMALL["ka_count"])
         with pytest.raises(ValueError) as err:
             load_dataset(ds_dir / "manifest.txt")
         assert str(err.value) == (

@@ -10,7 +10,6 @@ from argseek.kb import (
     check_atom_id,
     load_facts_file,
     load_rules_file,
-    make_knowledge_base,
     parse_rule,
     render_rule,
 )
@@ -100,26 +99,6 @@ class TestParseRule:
         for line in ("a & b -> c :: 1.5", "p -> q :: 0.5", "x & y & z -> w :: 1.2"):
             rule = parse_rule(line)
             assert parse_rule(render_rule(rule)) == rule
-
-
-class TestKnowledgeBase:
-    def test_make_kb_deduplicates_rules(self, caplog):
-        r1 = parse_rule("a & b -> c :: 1.0")
-        r2 = parse_rule("b & a -> c :: 2.0")  # same key, different weights
-        with caplog.at_level("WARNING"):
-            kb = make_knowledge_base(["a", "b", "c"], [r1, r2])
-        assert kb.rules == (r1,)
-        assert "duplicate" in caplog.text
-
-    def test_make_kb_sorts_rules(self):
-        ra = parse_rule("x -> a")
-        rb = parse_rule("x -> b")
-        kb = make_knowledge_base(["a", "b", "x"], [rb, ra])
-        assert kb.rules == (ra, rb)
-
-    def test_make_kb_validates_fact_ids(self):
-        with pytest.raises(KBError):
-            make_knowledge_base(["ok", "not ok"], [])
 
 
 class TestFactGraph:
