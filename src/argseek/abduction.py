@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 _TIE_REL = 1e-9
 
 
-class AbductionError(RuntimeError):
+class AbductionError(ValueError):
     """Raised when an explanation instance exceeds configured resource caps."""
 
 
@@ -412,7 +412,7 @@ def explain(
     dist, by_conclusion = _reachable_universe(sorted(obs), rule_list, config.max_depth)
     if len(dist) > config.max_universe:
         raise AbductionError(
-            f"instance touches {len(dist)} atoms, above the cap of "
+            f"instance touches {len(dist)} atoms, above the max_universe cap of "
             f"{config.max_universe}"
         )
     floors = _charge_floors(dist, obs, by_conclusion, config)

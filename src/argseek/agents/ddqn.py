@@ -194,8 +194,8 @@ def train_ddqn(
                 targets = np.array(
                     [ddqn_target(t, params, target, hp.gamma) for t in batch]
                 )
-                _, w_grads, b_grads = mlp_gradients(params, x, actions, targets)
-                adam_update(params, w_grads, b_grads, adam, hp.learning_rate)
+                _, grad = mlp_gradients(params, x, actions, targets)
+                adam_update(params, grad, adam, hp.learning_rate)
                 update_count += 1
                 if update_count % hp.target_sync_every == 0:
                     target = copy_params(params)

@@ -3,55 +3,78 @@
 Hidden layers use tanh, the output layer is linear. The loss is the mean
 squared error between the Q-value of the taken action and its target; only
 that one output unit per sample receives error signal. Parameters update
-with Adam. Model files are plain text with 17-significant-digit values so a
-save/load round trip is bit exact.
+with Adam. All parameters share one float64 vector laid out W0, b0, W1, b1,
+...; so do the gradient, the Adam moments and model files, which are plain
+text with 17-significant-digit values so a save/load round trip is bit exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ..kb import read_lines
+
+
+def _layer_views(flat: np.ndarray, layer_dims: tuple[int, ...]) -> tuple[list, list]:
+    """Per-layer weight and bias views into a vector laid out like ``flat``."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
 
 @dataclass
 class QNetworkParams:
-    """Weights and biases per layer; ``weights[i]`` has shape (out, in)."""
+    """Every parameter in one float64 vector ``flat``; ``weights[i]`` (shape
+    (out, in)) and ``biases[i]`` are views into it."""
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.layer_dims) < 2:
-            raise ValueError("need at least input and output dimensions")
-        expected = list(zip(self.layer_dims[1:], self.layer_dims[:-1]))
-        got_w = [w.shape for w in self.weights]
-        got_b = [b.shape for b in self.biases]
-        if got_w != expected or got_b != [(d,) for d, _ in expected]:
-            raise ValueError("parameter shapes do not match layer_dims")
-        for arr in self.weights + self.biases:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite parameter values")
+        dims = self.layer_dims
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"need at least two positive layer dims, got {dims}")
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        if self.flat.shape != (size,):
+            raise ValueError(f"parameter count {self.flat.size} does not match dims {dims}")
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("non-finite parameter values")
+        self.weights, self.biases = _layer_views(self.flat, dims)
 
 
 def init_qnet(layer_dims: tuple[int, ...], rng: np.random.Generator) -> QNetworkParams:
     """Symmetric uniform init scaled by 1/sqrt(fan_in), for weights and biases."""
-    weights, biases = [], []
+    layers = []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return QNetworkParams(tuple(layer_dims), weights, biases)
+        layers.append(rng.uniform(-bound, bound, size=fan_out * (fan_in + 1)))
+    return QNetworkParams(tuple(layer_dims), np.concatenate(layers))
 
 
 def copy_params(params: QNetworkParams) -> QNetworkParams:
-    return QNetworkParams(
-        params.layer_dims,
-        [w.copy() for w in params.weights],
-        [b.copy() for b in params.biases],
-    )
+    return QNetworkParams(params.layer_dims, params.flat.copy())
+
+
+def _activations(params: QNetworkParams, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for a batch of rows, the input first."""
+    acts = [x]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = acts[-1] @ w.T + b
+        acts.append(h if i == last else np.tanh(h))
+    return acts
 
 
 def mlp_forward_batch(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
@@ -61,13 +84,7 @@ def mlp_forward_batch(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected batch of dim-{params.layer_dims[0]} rows, got {x.shape}"
         )
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = np.tanh(h)
-    return h
+    return _activations(params, x)[-1]
 
 
 def mlp_forward(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
@@ -79,14 +96,11 @@ def mlp_forward(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_gradients(
-    params: QNetworkParams,
-    x: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Loss and exact gradients of mean (Q(x)[a] - target)^2 over the batch.
+    params: QNetworkParams, x: np.ndarray, actions: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Loss and exact gradient of mean (Q(x)[a] - target)^2 over the batch.
 
-    Returns (loss, weight_grads, bias_grads) ordered like the parameters.
+    Returns (loss, grad) with ``grad`` laid out like ``params.flat``.
     """
     x = np.asarray(x, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
@@ -94,16 +108,7 @@ def mlp_gradients(
     if x.ndim != 2 or len(actions) != len(x) or len(targets) != len(x) or not len(x):
         raise ValueError("batch arrays must be non-empty with matching lengths")
 
-    # Forward pass keeping every activation for backprop.
-    acts = [x]
-    h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = np.tanh(h)
-        acts.append(h)
-
+    acts = _activations(params, x)
     q = acts[-1]
     batch = len(x)
     picked = q[np.arange(batch), actions]
@@ -114,82 +119,71 @@ def mlp_gradients(
     delta = np.zeros_like(q)
     delta[np.arange(batch), actions] = 2.0 * err / batch
 
-    w_grads: list[np.ndarray] = [np.empty(0)] * len(params.weights)
-    b_grads: list[np.ndarray] = [np.empty(0)] * len(params.biases)
-    for i in range(last, -1, -1):
-        w_grads[i] = delta.T @ acts[i]
-        b_grads[i] = delta.sum(axis=0)
+    grad = np.empty_like(params.flat)
+    w_grads, b_grads = _layer_views(grad, params.layer_dims)
+    for i in range(len(w_grads) - 1, -1, -1):
+        w_grads[i][...] = delta.T @ acts[i]
+        b_grads[i][...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ params.weights[i]) * (1.0 - acts[i] ** 2)
 
-    for g in w_grads + b_grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient values")
-    return loss, w_grads, b_grads
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite gradient values")
+    return loss, grad
 
 
 @dataclass
 class AdamState:
-    """First and second moment accumulators, one pair per parameter array."""
+    """Moment accumulators laid out like ``QNetworkParams.flat`` from the
+    first step on; 0.0 before it."""
 
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | float = 0.0
+    v: np.ndarray | float = 0.0
     t: int = 0
 
 
 def adam_update(
     params: QNetworkParams,
-    w_grads: list[np.ndarray],
-    b_grads: list[np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     learning_rate: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One in-place Adam step with bias-corrected moments."""
-    if not state.m_w:
-        state.m_w = [np.zeros_like(w) for w in params.weights]
-        state.v_w = [np.zeros_like(w) for w in params.weights]
-        state.m_b = [np.zeros_like(b) for b in params.biases]
-        state.v_b = [np.zeros_like(b) for b in params.biases]
+    """One in-place Adam step with bias-corrected moments; ``grad`` is laid
+    out like ``params.flat``."""
     state.t += 1
+    state.m = beta1 * state.m + (1.0 - beta1) * grad
+    state.v = beta2 * state.v + (1.0 - beta2) * grad**2
     c1 = 1.0 - beta1**state.t
     c2 = 1.0 - beta2**state.t
-    for tgt, grads, m, v in (
-        (params.weights, w_grads, state.m_w, state.v_w),
-        (params.biases, b_grads, state.m_b, state.v_b),
-    ):
-        for i, g in enumerate(grads):
-            m[i] = beta1 * m[i] + (1.0 - beta1) * g
-            v[i] = beta2 * v[i] + (1.0 - beta2) * g**2
-            tgt[i] -= learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+    params.flat -= learning_rate * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
 
 
 def save_qnet(params: QNetworkParams, path: str | Path) -> None:
-    """Text format: a dims header, then one value per line in layer order."""
+    """Text format: a dims header, then one value of ``flat`` per line."""
     lines = ["dims " + " ".join(str(d) for d in params.layer_dims)]
-    for w, b in zip(params.weights, params.biases):
-        lines.extend("%.17g" % v for v in w.ravel())
-        lines.extend("%.17g" % v for v in b)
+    lines.extend("%.17g" % v for v in params.flat)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_qnet(path: str | Path) -> QNetworkParams:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a model file; errors name the file, and the line where there is one."""
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("dims "):
         raise ValueError(f"{path}: not a model file (missing dims header)")
-    dims = tuple(int(t) for t in lines[0].split()[1:])
-    values = np.array([float(t) for t in lines[1:] if t.strip()], dtype=np.float64)
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(values[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
-        pos += fan_out * fan_in
-        biases.append(values[pos : pos + fan_out])
-        pos += fan_out
-    if pos != len(values):
-        raise ValueError(f"{path}: parameter count does not match dims header")
-    return QNetworkParams(dims, weights, biases)
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {line!r}") from None
+            if not math.isfinite(values[-1]):
+                raise ValueError(f"{path}:{lineno}: non-finite value {line!r}")
+    try:
+        dims = tuple(int(t) for t in lines[0].split()[1:])
+        return QNetworkParams(dims, np.array(values, dtype=np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: dims header: {exc}") from None

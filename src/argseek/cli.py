@@ -64,10 +64,7 @@ def _load_models(
         )
     models = {}
     for seed, path in zip(seeds, paths):
-        try:
-            model = load_qnet(path)
-        except (OSError, ValueError) as exc:
-            raise click.ClickException(str(exc)) from exc
+        model = load_qnet(path)
         dims = model.layer_dims
         if (dims[0], dims[-1]) != (scenario.feature_dim, scenario.n_actions):
             raise click.ClickException(

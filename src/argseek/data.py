@@ -29,7 +29,9 @@ import numpy as np
 
 from .abduction import AbductionConfig
 from .env import Scenario
-from .kb import Rule, load_facts_file, load_rules_file, parse_rule, render_rule
+from .kb import (
+    Rule, content_lines, load_facts_file, load_rules_file, parse_rule, read_lines, render_rule
+)
 
 logger = logging.getLogger(__name__)
 
@@ -131,12 +133,9 @@ class Dataset:
 
 def _parse_manifest(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
     return entries
@@ -188,7 +187,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     ka_file = base / entries["ka_file"]
     atom_set = set(universe)
     kas = []
-    for lineno, line in enumerate(ka_file.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_lines(ka_file), 1):
         ka = frozenset(line.split())
         bad = sorted(ka - atom_set)
         if bad:
@@ -218,9 +217,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     questions: dict[str, tuple[str, str]] = {}
     q_file = base / entries.get("questions_file", "questions.tsv")
     if q_file.is_file():
-        for lineno, raw in enumerate(
-            q_file.read_text(encoding="utf-8").splitlines(), 1
-        ):
+        for lineno, raw in enumerate(read_lines(q_file), 1):
             if not raw.strip():
                 continue
             parts = raw.split("\t")

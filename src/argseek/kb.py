@@ -162,15 +162,28 @@ def build_fact_graph(rules: Iterable[Rule], atoms: Iterable[str]) -> FactGraph:
     return FactGraph(frozenset(universe), adjacency)
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 text file; a byte that is not UTF-8 fails naming file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def content_lines(path: str | Path) -> list[tuple[int, str]]:
+    """Number and stripped text of each non-blank, non-'#' line of a UTF-8 text file."""
+    numbered = ((n, raw.strip()) for n, raw in enumerate(read_lines(path), start=1))
+    return [(n, line) for n, line in numbered if line and not line.startswith("#")]
+
+
 def load_facts_file(path: str | Path) -> list[str]:
     """Read one atom id per line; '#' lines are comments. Preserves order,
     drops duplicates (logged)."""
     seen: dict[str, None] = {}
     dropped = 0
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         try:
             check_atom_id(line)
         except KBError as exc:
@@ -188,10 +201,7 @@ def load_rules_file(path: str | Path) -> list[Rule]:
     """Read one rule per line; '#' lines are comments. Parse errors name the
     offending line."""
     rules = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         try:
             rules.append(parse_rule(line))
         except KBError as exc:

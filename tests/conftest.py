@@ -63,11 +63,8 @@ def toy_oracle_model(toy) -> QNetworkParams:
     bias = np.array(
         [1.0 if atom in ("d1", "d2", "d3") else 0.0 for atom in sc.candidate_facts]
     )
-    return QNetworkParams(
-        (sc.feature_dim, sc.n_actions),
-        [np.zeros((sc.n_actions, sc.feature_dim))],
-        [bias],
-    )
+    weights = np.zeros(sc.n_actions * sc.feature_dim)
+    return QNetworkParams((sc.feature_dim, sc.n_actions), np.concatenate([weights, bias]))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,12 @@
 """Q-network numerics, DDQN targets, replay, and graph-walking baselines."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from argseek import env
 from argseek.agents.ddqn import (
@@ -50,31 +55,50 @@ def loss_of(params, x, actions, targets):
 
 
 def numeric_gradients(params, x, actions, targets, h=1e-5):
-    """Central finite differences of the batch loss, parameter by parameter."""
-    grads = []
-    for group in (params.weights, params.biases):
-        out = []
-        for arr in group:
-            g = np.zeros_like(arr)
-            flat, gflat = arr.ravel(), g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss_of(params, x, actions, targets)
-                flat[j] = orig - h
-                down = loss_of(params, x, actions, targets)
-                flat[j] = orig
-                gflat[j] = (up - down) / (2.0 * h)
-            out.append(g)
-        grads.append(out)
-    return grads[0], grads[1]
+    """Central finite differences of the batch loss, parameter by parameter,
+    laid out like ``params.flat``."""
+    flat = params.flat
+    grad = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + h
+        up = loss_of(params, x, actions, targets)
+        flat[j] = orig - h
+        down = loss_of(params, x, actions, targets)
+        flat[j] = orig
+        grad[j] = (up - down) / (2.0 * h)
+    return grad
+
+
+def net_of(layer_dims, *arrays) -> QNetworkParams:
+    """A hand-made net whose parameters are ``arrays`` (W0, b0, W1, b1, ...)."""
+    return QNetworkParams(layer_dims, np.concatenate([np.ravel(a) for a in arrays]))
 
 
 def linear_net(bias: list[float], n_in: int = 2) -> QNetworkParams:
     """Single linear layer with zero weights: Q(s) = bias, for hand cases."""
-    n_out = len(bias)
-    return QNetworkParams(
-        (n_in, n_out), [np.zeros((n_out, n_in))], [np.array(bias, dtype=float)]
+    return net_of((n_in, len(bias)), np.zeros((len(bias), n_in)), bias)
+
+
+def model_mutations(base: bytes):
+    """A model file truncated, with a line dropped or duplicated, a token
+    replaced, or bytes inserted."""
+    lines = base.split(b"\n")
+    tokens = [m.span() for m in re.finditer(rb"\S+", base)]
+    line_index = st.integers(0, len(lines) - 1)
+    replacement = st.sampled_from(
+        [b"abc", b"nan", b"-inf", b"1e999", b"0", b"-3", b"2.5", b"dims", b""]
+    ) | st.binary(max_size=6)
+    return st.one_of(
+        st.integers(0, len(base)).map(lambda n: base[:n]),
+        line_index.map(lambda i: b"\n".join(lines[:i] + lines[i + 1 :])),
+        line_index.map(lambda i: b"\n".join(lines[: i + 1] + lines[i:])),
+        st.tuples(st.sampled_from(tokens), replacement).map(
+            lambda t: base[: t[0][0]] + t[1] + base[t[0][1] :]
+        ),
+        st.tuples(st.integers(0, len(base)), st.binary(min_size=1, max_size=8)).map(
+            lambda t: base[: t[0]] + t[1] + base[t[0] :]
+        ),
     )
 
 
@@ -98,19 +122,37 @@ class TestInitAndShapes:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            QNetworkParams((3,), [], [])
+            QNetworkParams((3,), np.zeros(0))
         with pytest.raises(ValueError):
-            QNetworkParams((2, 3), [np.zeros((2, 3))], [np.zeros(3)])
+            QNetworkParams((2, 0), np.zeros(0))
         with pytest.raises(ValueError):
-            QNetworkParams((2, 3), [np.full((3, 2), np.nan)], [np.zeros(3)])
+            QNetworkParams((2, 3), np.zeros(8))
+        with pytest.raises(ValueError):
+            QNetworkParams((2, 3), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            QNetworkParams((2, 3), np.full(9, np.nan))
+
+    def test_weights_and_biases_are_views_into_flat(self, tmp_path):
+        params = init_qnet((3, 4, 2), np.random.default_rng(0))
+        assert params.flat.dtype == np.float64 and params.flat.shape == (26,)
+        params.flat[:] = np.arange(26.0)
+        assert np.array_equal(params.weights[0], np.arange(12.0).reshape(4, 3))
+        assert np.array_equal(params.biases[0], np.arange(12.0, 16.0))
+        assert np.array_equal(params.weights[1], np.arange(16.0, 24.0).reshape(2, 4))
+        assert np.array_equal(params.biases[1], [24.0, 25.0])
+        params.weights[1][1, 0] = -1.0
+        assert params.flat[20] == -1.0
+        # The model file lists the values of ``flat`` in order.
+        path = tmp_path / "model.txt"
+        save_qnet(params, path)
+        values = [float(v) for v in path.read_text().splitlines()[1:]]
+        assert np.array_equal(values, params.flat)
 
 
 class TestForward:
     def test_hand_computed_two_layer(self):
-        params = QNetworkParams(
-            (2, 2, 2),
-            [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]])],
-            [np.zeros(2), np.array([0.5, -0.5])],
+        params = net_of(
+            (2, 2, 2), np.eye(2), np.zeros(2), [[1.0, 1.0], [1.0, -1.0]], [0.5, -0.5]
         )
         x = np.array([0.3, -0.2])
         h = np.tanh(x)
@@ -142,31 +184,33 @@ class TestGradients:
             x = rng.normal(size=(3, 6))
             actions = rng.integers(0, 5, size=3)
             targets = rng.normal(size=3)
-            loss, w_grads, b_grads = mlp_gradients(params, x, actions, targets)
+            loss, a = mlp_gradients(params, x, actions, targets)
             assert loss == pytest.approx(loss_of(params, x, actions, targets))
-            w_num, b_num = numeric_gradients(params, x, actions, targets)
-            for a, n in zip(w_grads + b_grads, w_num + b_num):
-                rel = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-                assert rel.max() < 1e-4
+            n = numeric_gradients(params, x, actions, targets)
+            assert a.shape == params.flat.shape
+            rel = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
+            assert rel.max() < 1e-4
 
     def test_hand_computed_linear_case(self):
         # Identity net: Q(x) = x. One sample, action 1, target 0.
-        params = QNetworkParams((2, 2), [np.eye(2)], [np.zeros(2)])
-        loss, w_grads, b_grads = mlp_gradients(
+        params = net_of((2, 2), np.eye(2), np.zeros(2))
+        loss, grad = mlp_gradients(
             params, np.array([[1.0, 2.0]]), np.array([1]), np.array([0.0])
         )
         assert loss == 4.0
-        assert np.array_equal(w_grads[0], np.array([[0.0, 0.0], [4.0, 8.0]]))
-        assert np.array_equal(b_grads[0], np.array([0.0, 4.0]))
+        g = QNetworkParams(params.layer_dims, grad)
+        assert np.array_equal(g.weights[0], np.array([[0.0, 0.0], [4.0, 8.0]]))
+        assert np.array_equal(g.biases[0], np.array([0.0, 4.0]))
 
     def test_only_taken_action_gets_error_signal(self):
         params = init_qnet((3, 4), np.random.default_rng(3))
-        _, w_grads, b_grads = mlp_gradients(
+        _, grad = mlp_gradients(
             params, np.array([[1.0, -1.0, 0.5]]), np.array([2]), np.array([1.0])
         )
+        g = QNetworkParams(params.layer_dims, grad)
         for row in (0, 1, 3):
-            assert np.all(w_grads[0][row] == 0.0)
-            assert b_grads[0][row] == 0.0
+            assert np.all(g.weights[0][row] == 0.0)
+            assert g.biases[0][row] == 0.0
 
     def test_batch_validation(self):
         params = init_qnet((2, 2), np.random.default_rng(0))
@@ -178,21 +222,49 @@ class TestGradients:
 
 class TestAdam:
     def test_first_step_hand_values(self):
-        params = QNetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+        params = net_of((1, 1), [[1.0]], [0.0])
         state = AdamState()
-        adam_update(params, [np.array([[2.0]])], [np.array([1.0])], state, 0.1)
+        adam_update(params, np.array([2.0, 1.0]), state, 0.1)
         # Bias-corrected moments make the first step lr * g / |g|.
         assert params.weights[0][0, 0] == pytest.approx(0.9, abs=1e-8)
         assert params.biases[0][0] == pytest.approx(-0.1, abs=1e-8)
         assert state.t == 1
 
     def test_second_step_keeps_unit_scale_on_constant_gradient(self):
-        params = QNetworkParams((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+        params = net_of((1, 1), [[1.0]], [0.0])
         state = AdamState()
         for _ in range(2):
-            adam_update(params, [np.array([[2.0]])], [np.array([1.0])], state, 0.1)
+            adam_update(params, np.array([2.0, 1.0]), state, 0.1)
         assert params.weights[0][0, 0] == pytest.approx(0.8, abs=1e-7)
         assert state.t == 2
+
+    def test_state_is_two_flat_moments_and_a_step_count(self):
+        assert [f.name for f in dataclasses.fields(AdamState)] == ["m", "v", "t"]
+        params = init_qnet((3, 4, 2), np.random.default_rng(0))
+        state = AdamState()
+        adam_update(params, np.ones(params.flat.size), state, 0.1)
+        assert state.m.shape == state.v.shape == params.flat.shape
+
+    def test_flat_step_equals_per_array_reference(self):
+        # The per-array update it replaced, kept as the reference: the
+        # arithmetic per element is the same, so the results must be equal.
+        rng = np.random.default_rng(4)
+        params = init_qnet((5, 6, 3), rng)
+        ref = [a.copy() for a in params.weights + params.biases]
+        m = [np.zeros_like(a) for a in ref]
+        v = [np.zeros_like(a) for a in ref]
+        state = AdamState()
+        for t in range(1, 6):
+            grad = rng.normal(size=params.flat.size)
+            g = QNetworkParams(params.layer_dims, grad)
+            adam_update(params, grad, state, 1e-2)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for i, gi in enumerate(g.weights + g.biases):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * gi
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * gi**2
+                ref[i] -= 1e-2 * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8)
+        for a, b in zip(params.weights + params.biases, ref):
+            assert np.array_equal(a, b)
 
 
 class TestSaveLoad:
@@ -221,6 +293,59 @@ class TestSaveLoad:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="count"):
             load_qnet(path)
+
+    @pytest.mark.parametrize(
+        "line, text, where",
+        [
+            (3, "abc", ":4: not a number"),
+            (3, "nan", ":4: non-finite"),
+            (3, "-inf", ":4: non-finite"),
+            (0, "dims 3 x", ": dims header"),
+            (0, "dims 8", ": dims header"),
+            (0, "dims 3 0", ": dims header"),
+            (0, "dims 3 -2", ": dims header"),
+        ],
+    )
+    def test_malformed_model_names_file_and_line(self, tmp_path, line, text, where):
+        path = tmp_path / "model.txt"
+        save_qnet(init_qnet((3, 2), np.random.default_rng(0)), path)
+        lines = path.read_text().splitlines()
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_qnet(path)
+        assert str(info.value).startswith(f"{path}{where}")
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_qnet(init_qnet((3, 2), np.random.default_rng(0)), path)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as info:
+            load_qnet(path)
+        assert str(info.value).startswith(f"{path}:5: not UTF-8")
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_model_loads_or_names_file(self, tmp_path, data):
+        path = tmp_path / "model.txt"
+        save_qnet(init_qnet((3, 2), np.random.default_rng(0)), path)
+        mutant = data.draw(model_mutations(path.read_bytes()))
+        path.write_bytes(mutant)
+        try:
+            params = load_qnet(path)
+        except ValueError as exc:
+            assert str(exc).startswith(str(path))
+        else:
+            header = mutant.decode("utf-8").splitlines()[0].split()[1:]
+            assert params.layer_dims == tuple(int(t) for t in header)
+            assert np.all(np.isfinite(params.flat))
 
     def test_copy_params_is_deep(self):
         params = init_qnet((2, 2), np.random.default_rng(0))

@@ -1,5 +1,7 @@
 """End-to-end command line flows on the toy dataset."""
 
+import shutil
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -309,3 +311,26 @@ class TestAbduce:
             main, ["abduce", "--data", str(toy_dir), "--claim", "zz"]
         )
         assert result.exit_code != 0
+
+
+class TestResourceCaps:
+    @pytest.fixture
+    def capped_dir(self, toy_dir, tmp_path):
+        """The toy dataset with a max_universe cap that its proofs exceed."""
+        out = tmp_path / "capped"
+        shutil.copytree(toy_dir, out)
+        manifest = out / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [l for l in lines if not l.startswith("max_universe")] + ["max_universe = 2"]
+        manifest.write_text("\n".join(lines) + "\n")
+        return out
+
+    @pytest.mark.parametrize(
+        "args", [["abduce", "--facts", "d1,d2"], ["eval", "--strategy", "random"]]
+    )
+    def test_universe_cap_fails_without_traceback(self, runner, capped_dir, args):
+        result = runner.invoke(main, [args[0], "--data", str(capped_dir), *args[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert "max_universe" in result.output

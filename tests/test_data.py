@@ -273,6 +273,18 @@ class TestLoaderValidation:
             load_dataset(ds_dir / "manifest.txt")
         assert str(err.value) == f"{ds_dir / 'kas.txt'}: no answerer sets found"
 
+    @pytest.mark.parametrize(
+        "name", ["manifest.txt", "facts.txt", "rules.txt", "kas.txt", "questions.tsv"]
+    )
+    def test_undecodable_byte_names_file_and_line(self, ds_dir, name):
+        path = ds_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value).startswith(f"{path}:2: not UTF-8 text")
+
     def test_bad_train_split(self, ds_dir):
         manifest = ds_dir / "manifest.txt"
         manifest.write_text(
