@@ -4,6 +4,7 @@ The online network picks the bootstrap action, the periodically synced
 target network scores it. Exploration is epsilon-greedy with a linear
 anneal over a fixed count of initial actions. Illegal (already asked)
 actions are masked out of both the greedy policy and the bootstrap argmax.
+Each update computes the targets of its whole sampled batch at once.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .qnet import (
     copy_params,
     init_qnet,
     mlp_forward,
+    mlp_forward_batch,
     mlp_gradients,
 )
 
@@ -108,13 +110,20 @@ def epsilon_at(hp: Hyperparams, action_count: int) -> float:
     return hp.eps_start + (hp.eps_end - hp.eps_start) * frac
 
 
-def masked_argmax(q: np.ndarray, legal: np.ndarray) -> int:
-    """Highest-Q action where the boolean mask ``legal`` is True; ties
-    resolve to the lowest index."""
-    choices = np.flatnonzero(legal)
-    if not len(choices):
-        raise ValueError("no legal actions to choose from")
-    return int(choices[np.argmax(q[choices])])
+def masked_argmax(q: np.ndarray, legal: np.ndarray) -> int | np.ndarray:
+    """Highest-Q action along the last axis where the boolean mask ``legal``
+    is True; ties resolve to the lowest legal index. An int for one row of
+    Q-values, an index array for a stack of rows."""
+    masked = np.where(legal, q, -np.inf)
+    best = masked.argmax(axis=-1)
+    # A row with no legal Q-value above -inf peaks at index 0, legal or
+    # not; its pick is its first legal index, if it has one.
+    stuck = masked.max(axis=-1) == -np.inf
+    if np.count_nonzero(stuck):  # cheaper than .any() on one row
+        if not legal.any(axis=-1).all():
+            raise ValueError("no legal actions to choose from")
+        best = np.where(stuck, legal.argmax(axis=-1), best)
+    return int(best) if best.ndim == 0 else best
 
 
 def greedy_action(params: QNetworkParams, features: np.ndarray, legal: np.ndarray) -> int:
@@ -122,17 +131,21 @@ def greedy_action(params: QNetworkParams, features: np.ndarray, legal: np.ndarra
 
 
 def ddqn_target(
-    transition: Transition,
+    batch: Sequence[Transition],
     theta: QNetworkParams,
     theta_minus: QNetworkParams,
     gamma: float,
-) -> float:
-    """Bootstrap value: online net selects the action, target net scores it."""
-    if transition.done:
-        return transition.r
-    a_star = masked_argmax(mlp_forward(theta, transition.s_next), transition.legal_next)
-    q_minus = mlp_forward(theta_minus, transition.s_next)
-    return transition.r + gamma * float(q_minus[a_star])
+) -> np.ndarray:
+    """Bootstrap values of a batch: the online net selects each action, the
+    target net scores it; a terminal row's target is its reward."""
+    s_next = np.stack([t.s_next for t in batch])
+    legal_next = np.stack([t.legal_next for t in batch])
+    r = np.array([t.r for t in batch], dtype=np.float64)
+    done = np.array([t.done for t in batch], dtype=bool)
+    # A terminal row's pick is never used, so its mask may be empty.
+    a_star = masked_argmax(mlp_forward_batch(theta, s_next), legal_next | done[:, None])
+    q_minus = mlp_forward_batch(theta_minus, s_next)
+    return np.where(done, r, r + gamma * q_minus[np.arange(len(batch)), a_star])
 
 
 def train_ddqn(
@@ -191,9 +204,7 @@ def train_ddqn(
                 batch = buffer.sample(hp.batch_size, rng)
                 x = np.stack([t.s for t in batch])
                 actions = np.array([t.a for t in batch])
-                targets = np.array(
-                    [ddqn_target(t, params, target, hp.gamma) for t in batch]
-                )
+                targets = ddqn_target(batch, params, target, hp.gamma)
                 _, grad = mlp_gradients(params, x, actions, targets)
                 adam_update(params, grad, adam, hp.learning_rate)
                 update_count += 1

@@ -6,6 +6,14 @@ that one output unit per sample receives error signal. Parameters update
 with Adam. All parameters share one float64 vector laid out W0, b0, W1, b1,
 ...; so do the gradient, the Adam moments and model files, which are plain
 text with 17-significant-digit values so a save/load round trip is bit exact.
+
+The batch forward multiplies a stack of (1, d) rows, ``x[:, None, :] @ w.T``,
+so numpy runs the same one-row product for every row that a single forward
+runs: each row of a batch equals ``mlp_forward`` of that row bit for bit, and
+batching the double-DQN targets changes no trained byte. A plain (B, d)
+product sums in a different order and differs in the last few bits.
+``mlp_gradients`` keeps the plain product, which training has always used,
+so its bits stay as they were too.
 """
 
 from __future__ import annotations
@@ -67,24 +75,21 @@ def copy_params(params: QNetworkParams) -> QNetworkParams:
     return QNetworkParams(params.layer_dims, params.flat.copy())
 
 
-def _activations(params: QNetworkParams, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output for a batch of rows, the input first."""
-    acts = [x]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w.T + b
-        acts.append(h if i == last else np.tanh(h))
-    return acts
-
-
 def mlp_forward_batch(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
-    """Q-values for a batch of feature rows, shape (B, n_actions)."""
+    """Q-values for a batch of feature rows, shape (B, n_actions); row i is
+    bitwise ``mlp_forward(params, x[i])``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ValueError(
             f"expected batch of dim-{params.layer_dims[0]} rows, got {x.shape}"
         )
-    return _activations(params, x)[-1]
+    h = x[:, None, :]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w.T + b
+        if i != last:
+            h = np.tanh(h)
+    return h[:, 0, :]
 
 
 def mlp_forward(params: QNetworkParams, x: np.ndarray) -> np.ndarray:
@@ -108,7 +113,11 @@ def mlp_gradients(
     if x.ndim != 2 or len(actions) != len(x) or len(targets) != len(x) or not len(x):
         raise ValueError("batch arrays must be non-empty with matching lengths")
 
-    acts = _activations(params, x)
+    acts = [x]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = acts[-1] @ w.T + b
+        acts.append(h if i == last else np.tanh(h))
     q = acts[-1]
     batch = len(x)
     picked = q[np.arange(batch), actions]

@@ -45,6 +45,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise click.ClickException(f"bad --seeds value {text!r}") from exc
     if not seeds:
         raise click.ClickException("--seeds is empty")
+    if len(set(seeds)) < len(seeds):
+        raise click.ClickException(f"--seeds repeats a seed: {text!r}")
     return seeds
 
 
@@ -138,7 +140,7 @@ def train(data, episodes, seed, out_path) -> None:
 @click.option("--strategy", required=True, type=click.Choice(STRATEGIES))
 @click.option("--model", "model_paths", multiple=True, type=click.Path(exists=True))
 @click.option("--seeds", default="0", show_default=True, envvar="ARGSEEK_SEED")
-@click.option("--t-limit", default=None, type=int, help="Override the manifest time limit.")
+@click.option("--t-limit", type=click.IntRange(min=1), help="Override the manifest time limit.")
 @click.option("--out", "out_path", default=None, type=click.Path())
 def eval_cmd(data, strategy, model_paths, seeds, t_limit, out_path) -> None:
     """Evaluate one strategy on the test split; emits a metrics CSV."""
@@ -163,7 +165,7 @@ def eval_cmd(data, strategy, model_paths, seeds, t_limit, out_path) -> None:
 @click.option("--strategy", required=True, type=click.Choice(STRATEGIES))
 @click.option("--model", "model_paths", multiple=True, type=click.Path(exists=True))
 @click.option("--seeds", default="0", show_default=True, envvar="ARGSEEK_SEED")
-@click.option("--max-tlimit", default=10, show_default=True)
+@click.option("--max-tlimit", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", default=None, type=click.Path())
 def sweep(data, strategy, model_paths, seeds, max_tlimit, out_path) -> None:
     """Evaluate a strategy at every time limit 1..N; emits a CSV."""

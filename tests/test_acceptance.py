@@ -123,7 +123,7 @@ def test_criterion_05_target_arithmetic():
             s=np.zeros(2), a=0, r=r, s_next=np.zeros(2), done=True,
             legal_next=np.zeros(1, dtype=bool),
         )
-        assert ddqn_target(terminal, flat_net([1.0]), flat_net([2.0]), 0.95) == r
+        assert ddqn_target([terminal], flat_net([1.0]), flat_net([2.0]), 0.95)[0] == r
 
     # Masked case: the online net's global best (index 0) is illegal, so it
     # must pick index 2, which the synced copy scores at 4.
@@ -133,7 +133,7 @@ def test_criterion_05_target_arithmetic():
         s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2), done=False,
         legal_next=np.array([False, True, True]),
     )
-    y = ddqn_target(t, online, target, 0.95)
+    (y,) = ddqn_target([t], online, target, 0.95)
     assert abs(y - 2.8) <= 1e-12
     print("criterion 5: terminal targets equal rewards; masked bootstrap "
           "gives -1 + 0.95*4 = 2.8")

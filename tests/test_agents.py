@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from argseek import env
+from argseek.agents import ddqn
 from argseek.agents.ddqn import (
     Hyperparams,
     ReplayBuffer,
@@ -160,13 +161,23 @@ class TestForward:
         assert np.allclose(mlp_forward(params, x), expected, atol=1e-15)
 
     def test_batch_matches_single(self):
-        # Not bitwise: BLAS sums a 4-row and a 1-row product in different
-        # orders, so agreement is only up to the last few ulp.
         params = init_qnet((5, 7, 3), np.random.default_rng(1))
         x = np.random.default_rng(2).normal(size=(4, 5))
         batch = mlp_forward_batch(params, x)
         for i in range(4):
-            assert np.allclose(batch[i], mlp_forward(params, x[i]), rtol=0, atol=1e-12)
+            assert np.array_equal(batch[i], mlp_forward(params, x[i]))
+
+    def test_batch_matches_single_on_benchmark_dims(self):
+        # The benchmark net on its kind of input: 0/1 fact features and an
+        # r_norm column. A plain (B, d) product misses this in the last bits.
+        rng = np.random.default_rng(3)
+        params = init_qnet((243, 50, 50, 121), rng)
+        for _ in range(20):
+            x = (rng.random((32, 243)) < 0.3).astype(np.float64)
+            x[:, -1] = rng.random(32)
+            batch = mlp_forward_batch(params, x)
+            for i in range(32):
+                assert np.array_equal(batch[i], mlp_forward(params, x[i]))
 
     def test_input_validation(self):
         params = init_qnet((5, 3), np.random.default_rng(1))
@@ -428,6 +439,29 @@ class TestMaskedArgmax:
             assert type(got) is int
             assert got == want
 
+    def test_stacked_rows_match_set_reference(self):
+        # One call on a stack of rows, a third of them with every legal Q
+        # at -inf, picks per row what the set reference picks.
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 7, 121):
+            q = np.round(rng.normal(size=(40, n)))
+            legal = rng.random((40, n)) < rng.uniform(0.05, 1.0, size=(40, 1))
+            legal[np.arange(40), rng.integers(n, size=40)] = True
+            legal[::5] = np.arange(n) == rng.integers(n)
+            q[::3] = np.where(legal[::3], -np.inf, q[::3])
+            got = masked_argmax(q, legal)
+            want = [
+                min(np.flatnonzero(m).tolist(), key=lambda i: (-row[i], i))
+                for row, m in zip(q, legal)
+            ]
+            assert got.shape == (40,)
+            assert got.tolist() == want
+
+    def test_stacked_rows_with_an_empty_row_rejected(self):
+        legal = np.array([[True, False], [False, False]])
+        with pytest.raises(ValueError):
+            masked_argmax(np.zeros((2, 2)), legal)
+
     def test_greedy_action_uses_network_output(self):
         params = linear_net([0.0, 5.0, 1.0])
         features = np.zeros(2)
@@ -435,16 +469,64 @@ class TestMaskedArgmax:
         assert greedy_action(params, features, mask(3, {0, 2})) == 2
 
 
+def reference_ddqn_target(transition, theta, theta_minus, gamma):
+    """One row's bootstrap value, computed alone as the trainer once did:
+    the oracle for the batched ``ddqn_target``."""
+    if transition.done:
+        return transition.r
+    choices = np.flatnonzero(transition.legal_next)
+    if not len(choices):
+        raise ValueError("no legal actions to choose from")
+    q = mlp_forward(theta, transition.s_next)
+    a_star = int(choices[np.argmax(q[choices])])
+    q_minus = mlp_forward(theta_minus, transition.s_next)
+    return transition.r + gamma * float(q_minus[a_star])
+
+
+def random_transitions(rng, count, n_in, n_actions):
+    """Transitions with rewards on the toy and benchmark scale: a quarter
+    terminal (half of those with an empty mask), a fifth with one legal
+    action, the rest with random non-empty masks."""
+    batch = []
+    for k in range(count):
+        done = k % 4 == 0
+        if done and k % 8 == 0:
+            legal = mask(n_actions, ())
+        elif k % 5 == 1:
+            legal = mask(n_actions, [rng.integers(n_actions)])
+        else:
+            legal = rng.random(n_actions) < rng.uniform(0.05, 1.0)
+            legal[rng.integers(n_actions)] = True
+        s_next = (rng.random(n_in) < 0.4).astype(np.float64)
+        s_next[-1] = rng.random()
+        r = float(rng.choice([-1.0, 99.0, -rng.random()]))
+        batch.append(Transition(np.zeros(n_in), 0, r, s_next, done, legal))
+    rng.shuffle(batch)
+    return batch
+
+
+def with_tied_actions(params, rng):
+    """``params`` with some output units copied from others, so those
+    actions' Q-values tie exactly in every state."""
+    w, b = params.weights[-1], params.biases[-1]
+    for _ in range(len(b) // 2):
+        src, dst = rng.integers(len(b), size=2)
+        w[dst], b[dst] = w[src], b[src]
+    return params
+
+
 class TestDdqnTarget:
     def test_terminal_target_is_reward(self):
         online = linear_net([1.0, 2.0])
         target = linear_net([3.0, 4.0])
-        for r in (-1.0, 99.0, 0.125):
-            t = Transition(
+        batch = [
+            Transition(
                 s=np.zeros(2), a=0, r=r, s_next=np.zeros(2),
                 done=True, legal_next=mask(2, ()),
             )
-            assert ddqn_target(t, online, target, 0.95) == r
+            for r in (-1.0, 99.0, 0.125)
+        ]
+        assert ddqn_target(batch, online, target, 0.95).tolist() == [-1.0, 99.0, 0.125]
 
     def test_online_selects_target_scores(self):
         # Online prefers index 2 among the legal {1, 2}; its own global
@@ -457,16 +539,87 @@ class TestDdqnTarget:
             s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2),
             done=False, legal_next=mask(3, {1, 2}),
         )
-        assert ddqn_target(t, online, target, 0.95) == pytest.approx(2.8, abs=1e-12)
+        y = ddqn_target([t], online, target, 0.95)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(2.8, abs=1e-12)
 
     def test_nonterminal_without_legal_actions_rejected(self):
         online = linear_net([1.0])
-        t = Transition(
-            s=np.zeros(2), a=0, r=-1.0, s_next=np.zeros(2),
-            done=False, legal_next=mask(1, ()),
-        )
+
+        def row(done, legal):
+            return Transition(np.zeros(2), 0, -1.0, np.zeros(2), done, mask(1, legal))
+
         with pytest.raises(ValueError):
-            ddqn_target(t, online, online, 0.95)
+            ddqn_target([row(False, ())], online, online, 0.95)
+        with pytest.raises(ValueError):
+            ddqn_target([row(True, ()), row(False, [0]), row(False, ())], online, online, 0.95)
+        # A terminal row's empty mask is never used.
+        assert ddqn_target([row(True, ()), row(False, [0])], online, online, 0.5).tolist() == [
+            -1.0, -0.5,
+        ]
+
+    @pytest.mark.parametrize("dims", [(7, 5, 6), (7, 9), (243, 50, 50, 121)])
+    def test_matches_per_row_reference(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        for trial in range(20):
+            theta = with_tied_actions(init_qnet(dims, rng), rng)
+            theta_minus = init_qnet(dims, rng)
+            gamma = (0.95, 0.0, 1.0, float(rng.random()))[trial % 4]
+            batch = random_transitions(rng, int(rng.integers(1, 40)), dims[0], dims[-1])
+            got = ddqn_target(batch, theta, theta_minus, gamma)
+            want = [reference_ddqn_target(t, theta, theta_minus, gamma) for t in batch]
+            assert got.dtype == np.float64
+            assert got.tolist() == want
+
+    def test_rows_with_only_minus_inf_legal_q_values(self):
+        # A huge negative weight on the last input drives actions 2-5 to
+        # -inf when that input is 10. Rows whose legal set lies in 2-5 then
+        # have no legal Q-value above -inf, while the illegal 0 and 1 stay
+        # finite: the pick must still be legal, the reference's first legal.
+        rng = np.random.default_rng(4)
+        n_in, n_actions = 4, 6
+        w = rng.normal(size=(n_actions, n_in))
+        w[2:, -1] = -1e308
+        theta = net_of((n_in, n_actions), w, rng.normal(size=n_actions))
+        theta_minus = init_qnet((n_in, n_actions), rng)
+        batch = []
+        for k in range(60):
+            s_next = rng.normal(size=n_in)
+            s_next[-1] = 10.0 if k % 2 else 0.5
+            legal = rng.random(n_actions) < 0.5
+            if k % 3 != 2:
+                legal[:2] = False
+            legal[rng.integers(2, n_actions)] = True
+            batch.append(Transition(np.zeros(n_in), 0, -1.0, s_next, k % 7 == 0, legal))
+        with np.errstate(over="ignore"):
+            got = ddqn_target(batch, theta, theta_minus, 0.95)
+            want = [reference_ddqn_target(t, theta, theta_minus, 0.95) for t in batch]
+            q = mlp_forward_batch(theta, np.stack([t.s_next for t in batch]))
+        stuck = [
+            not t.done and np.all(q[i][t.legal_next] == -np.inf) for i, t in enumerate(batch)
+        ]
+        assert sum(stuck) >= 10
+        assert got.tolist() == want
+        assert np.all(np.isfinite(got))
+
+    def test_training_targets_match_reference(self, toy, monkeypatch):
+        # Every batch the trainer really draws, checked row by row against
+        # the per-row oracle with the networks as they are at that update.
+        real_target = ddqn.ddqn_target
+        checked = []
+
+        def checking_target(batch, theta, theta_minus, gamma):
+            got = real_target(batch, theta, theta_minus, gamma)
+            want = [reference_ddqn_target(t, theta, theta_minus, gamma) for t in batch]
+            assert got.tolist() == want
+            checked.append(len(batch))
+            return got
+
+        monkeypatch.setattr(ddqn, "ddqn_target", checking_target)
+        hp = Hyperparams(episodes=50, seed=2)
+        train_ddqn(toy.scenario, toy.train_kas, hp)
+        assert len(checked) > 50
+        assert set(checked) == {hp.batch_size}
 
 
 class TestReplayBuffer:

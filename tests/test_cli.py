@@ -178,6 +178,31 @@ class TestEval:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_repeated_seed_rejected(self, runner, toy_dir, oracle_path, tmp_path, command):
+        # Models are keyed by seed, so a repeated seed would drop a model.
+        other = tmp_path / "other.txt"
+        save_qnet(init_qnet((19, 9), np.random.default_rng(0)), other)
+        for extra in (["--strategy", "random"],
+                      ["--strategy", "ddqn", "--model", oracle_path, "--model", str(other)]):
+            result = runner.invoke(
+                main, [command, "--data", str(toy_dir), "--seeds", "0,0", *extra]
+            )
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert "--seeds" in result.output
+
+    @pytest.mark.parametrize(
+        "command, flag", [("eval", "--t-limit"), ("sweep", "--max-tlimit")]
+    )
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_time_limit_below_one_rejected(self, runner, toy_dir, command, flag, value):
+        result = runner.invoke(
+            main, [command, "--data", str(toy_dir), "--strategy", "random", flag, value]
+        )
+        assert result.exit_code == 2
+        assert flag in result.output
+
     def test_unknown_strategy_fails(self, runner, toy_dir):
         result = runner.invoke(
             main, ["eval", "--data", str(toy_dir), "--strategy", "astar"]
