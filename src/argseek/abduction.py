@@ -209,18 +209,20 @@ def _components(
 
 def _final_charges(
     labels: dict[str, Rule | None],
-    contribs: Mapping[str, list[tuple[str, float]]],
     observations: frozenset[str],
     obs_cost: float,
 ) -> tuple[dict[str, float], float]:
     """Exact charge propagation over a complete labeling (topological pass)."""
+    contribs: dict[str, list[tuple[str, float]]] = {}
+    for parent, rule in labels.items():
+        if rule is not None:
+            for p, theta in zip(rule.premises, rule.premise_weights):
+                contribs.setdefault(p, []).append((parent, theta))
     indeg = {a: len(contribs.get(a, ())) for a in labels}
     ready = sorted(a for a, d in indeg.items() if d == 0)
     charges: dict[str, float] = {}
-    order: list[str] = []
     while ready:
         atom = ready.pop()
-        order.append(atom)
         c = obs_cost if atom in observations else math.inf
         for parent, theta in contribs.get(atom, ()):
             c = min(c, charges[parent] * theta)
@@ -243,9 +245,20 @@ class _BranchAndBound:
     """Labeling search over one connected component.
 
     Branches over the justification of one pending atom at a time, ASSUME
-    first. The lower bound is the sum of charge floors over atoms already
-    assumed; charges are finalized only on complete labelings because a later
-    rule choice can still lower the charge of an atom assumed earlier.
+    first. The state is the partial labeling ``labels`` and, for every atom
+    needed so far, ``depth``: its longest need-path from an observation over
+    the rules in ``labels``. A rule is tried by labeling its conclusion with
+    it and raising each premise to one below the conclusion. If a premise
+    already needs the conclusion, the raise runs round that cycle until it
+    passes the depth bound, so the one depth pass refuses both too-deep and
+    cyclic justifications. The bound is ``max_depth`` capped at the
+    component size minus one: an acyclic need-path visits each atom at most
+    once, so the cap loses no valid labeling and keeps the raise's recursion
+    within the component.
+
+    The lower bound is the sum of charge floors over atoms already assumed;
+    charges are finalized only on complete labelings because a later rule
+    choice can still lower the charge of an atom assumed earlier.
     """
 
     def __init__(
@@ -254,22 +267,21 @@ class _BranchAndBound:
         by_conclusion: Mapping[str, list[Rule]],
         floors: Mapping[str, float],
         config: AbductionConfig,
+        component_size: int,
     ):
         self.obs = observations
         self.by_conclusion = by_conclusion
         self.floors = floors
         self.config = config
+        self.max_depth = min(config.max_depth, component_size - 1)
 
         self.labels: dict[str, Rule | None] = {}
         self.pending: set[str] = set(observations)
-        self.contribs: dict[str, list[tuple[str, float]]] = {}
-        self.children: dict[str, tuple[str, ...]] = {}
         self.depth: dict[str, int] = {a: 0 for a in observations}
         self.lb = 0.0
 
         # All-assume labeling is always valid; seed the incumbent with it.
         self.best_labels = {a: None for a in observations}
-        self.best_contribs: dict[str, list[tuple[str, float]]] = {}
         self.best_cost = config.obs_cost * len(observations)
         self.best_rank = _labeling_rank(self.best_labels)
         self.prune_cost = self.best_cost
@@ -278,9 +290,7 @@ class _BranchAndBound:
         if cost_hint is not None and cost_hint < self.prune_cost:
             self.prune_cost = cost_hint
         self._dfs()
-        charges, total = _final_charges(
-            self.best_labels, self.best_contribs, self.obs, self.config.obs_cost
-        )
+        charges, total = _final_charges(self.best_labels, self.obs, self.config.obs_cost)
         return self.best_labels, charges, total
 
     # -- search -----------------------------------------------------------
@@ -297,9 +307,7 @@ class _BranchAndBound:
             self._try_rule(atom, rule)
 
     def _complete(self) -> None:
-        charges, total = _final_charges(
-            self.labels, self.contribs, self.obs, self.config.obs_cost
-        )
+        charges, total = _final_charges(self.labels, self.obs, self.config.obs_cost)
         eps = _tie_eps(min(total, self.best_cost))
         if total < self.best_cost - eps:
             better = True
@@ -309,7 +317,6 @@ class _BranchAndBound:
             better = False
         if better:
             self.best_labels = dict(self.labels)
-            self.best_contribs = {a: list(v) for a, v in self.contribs.items()}
             self.best_cost = total
             self.best_rank = _labeling_rank(self.labels)
             if total < self.prune_cost:
@@ -325,31 +332,21 @@ class _BranchAndBound:
         del self.labels[atom]
 
     def _try_rule(self, atom: str, rule: Rule) -> None:
-        # Using this rule must not close a cycle of justifications.
-        for p in rule.premises:
-            if self._reaches(p, atom):
-                return
-        undo_depth: list[tuple[str, int | None]] = []
+        self.labels[atom] = rule
+        self.pending.discard(atom)
         new_pending: list[str] = []
-        applied: list[str] = []
-        ok = True
-        for p, theta in zip(rule.premises, rule.premise_weights):
-            self.contribs.setdefault(p, []).append((atom, theta))
-            applied.append(p)
+        for p in rule.premises:
             if p not in self.labels and p not in self.pending:
                 self.pending.add(p)
                 new_pending.append(p)
+        undo_depth: list[tuple[str, int | None]] = []
+        ok = True
+        for p in rule.premises:
             if not self._raise_depth(p, self.depth[atom] + 1, undo_depth):
                 ok = False
                 break
         if ok:
-            self.labels[atom] = rule
-            self.pending.discard(atom)
-            self.children[atom] = rule.premises
             self._dfs()
-            del self.children[atom]
-            self.pending.add(atom)
-            del self.labels[atom]
         # Rollback in reverse order of application.
         for a, old in reversed(undo_depth):
             if old is None:
@@ -358,38 +355,23 @@ class _BranchAndBound:
                 self.depth[a] = old
         for p in new_pending:
             self.pending.discard(p)
-        for p in reversed(applied):
-            lst = self.contribs[p]
-            lst.pop()
-            if not lst:
-                del self.contribs[p]
-
-    def _reaches(self, src: str, target: str) -> bool:
-        if src == target:
-            return True
-        stack = [src]
-        seen = {src}
-        while stack:
-            for nxt in self.children.get(stack.pop(), ()):
-                if nxt == target:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        self.pending.add(atom)
+        del self.labels[atom]
 
     def _raise_depth(self, atom: str, new_depth: int, undo: list) -> bool:
-        """Propagate a longest-path increase; False if max_depth is exceeded."""
+        """Propagate a longest-path increase; False past the depth bound."""
         cur = self.depth.get(atom)
         if cur is not None and cur >= new_depth:
             return True
         undo.append((atom, cur))
         self.depth[atom] = new_depth
-        if new_depth > self.config.max_depth:
+        if new_depth > self.max_depth:
             return False
-        for child in self.children.get(atom, ()):
-            if not self._raise_depth(child, new_depth + 1, undo):
-                return False
+        rule = self.labels.get(atom)
+        if rule is not None:
+            for child in rule.premises:
+                if not self._raise_depth(child, new_depth + 1, undo):
+                    return False
         return True
 
 
@@ -426,7 +408,7 @@ def explain(
             continue
         comp_set = set(comp)
         comp_rules = {a: rs for a, rs in by_conclusion.items() if a in comp_set}
-        search = _BranchAndBound(comp_obs, comp_rules, floors, config)
+        search = _BranchAndBound(comp_obs, comp_rules, floors, config, len(comp))
         hint = cost_hint if len(comp_obs) == len(obs) else None
         comp_labels, comp_charges, comp_total = search.solve(hint)
         labels.update(comp_labels)

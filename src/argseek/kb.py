@@ -65,6 +65,9 @@ class Rule:
             check_atom_id(atom)
         if self.conclusion in self.premises:
             raise KBError(f"rule conclusion {self.conclusion!r} appears among its premises")
+        if len(set(self.premises)) != len(self.premises):
+            repeated = next(p for i, p in enumerate(self.premises) if p in self.premises[:i])
+            raise KBError(f"rule {self.conclusion!r} repeats premise {repeated!r}")
         if not all(math.isfinite(w) for w in self.premise_weights):
             raise KBError(f"rule {self.conclusion!r} has a non-finite premise weight")
         if any(w <= 0 for w in self.premise_weights):

@@ -70,16 +70,31 @@ class TestHandCases:
         assert proof.assumptions == ("a",)
 
     def test_justification_cycles_rejected(self):
-        proof = explain({"a", "b"}, rules_of("a -> b :: 0.5", "b -> a :: 0.5"))
-        oracle = brute_force_explain(
-            {"a", "b"}, rules_of("a -> b :: 0.5", "b -> a :: 0.5")
-        )
+        rules = rules_of("a -> b :: 0.5", "b -> a :: 0.5")
         # Deriving each from the other would be free; both engines must
-        # refuse it and settle for one assumption at half charge.
-        assert proof.total_cost == 5.0
-        assert proof.assumptions == ("a",)
-        assert oracle.total_cost == 5.0
-        assert oracle.assumptions == ("a",)
+        # refuse it and settle for one assumption at half charge, also when
+        # the depth bound alone would not stop a cycle.
+        for max_depth in (6, 10_000):
+            config = AbductionConfig(max_depth=max_depth)
+            proof = explain({"a", "b"}, rules, config)
+            oracle = brute_force_explain({"a", "b"}, rules, config)
+            assert proof.total_cost == 5.0
+            assert proof.assumptions == ("a",)
+            assert oracle.total_cost == 5.0
+            assert oracle.assumptions == ("a",)
+
+    @pytest.mark.parametrize("max_depth", [6, 10_000])
+    def test_cycle_beside_an_outside_premise(self, max_depth):
+        # The a <-> b cycle is refused however deep the bound, and a is
+        # still derived from c, which carries 5.0 * 0.9.
+        config = AbductionConfig(max_depth=max_depth)
+        rules = rules_of("a -> b :: 0.5", "b -> a :: 0.5", "c -> a :: 0.9")
+        proof = explain({"a", "b"}, rules, config)
+        oracle = brute_force_explain({"a", "b"}, rules, config)
+        assert proof.total_cost == 4.5
+        assert proof.assumptions == ("c",)
+        assert (oracle.total_cost, oracle.assumptions) == (4.5, ("c",))
+        assert proof.charges == oracle.charges == {"a": 5.0, "b": 10.0, "c": 4.5}
 
     def test_depth_cap_limits_chaining(self):
         chain = rules_of(
@@ -214,18 +229,22 @@ class TestConfigValidation:
 
 class TestOracleEquivalence:
     def test_random_instances_agree_exactly(self):
-        rng = np.random.default_rng(12345)
-        config = AbductionConfig()
-        for _ in range(80):
-            _, rules, obs = random_instance(rng)
-            fast = explain(obs, rules, config)
-            slow = brute_force_explain(obs, rules, config)
-            assert fast.total_cost == slow.total_cost
-            assert fast.assumptions == slow.assumptions
-            paid = sum(
-                fast.charges[a] for a, r in fast.labels.items() if r is None
-            )
-            assert fast.total_cost == pytest.approx(paid, abs=1e-12)
+        # Every depth bound on the same 80 instances; at 10_000 only the
+        # component size bounds the search's depth pass.
+        for max_depth in (0, 1, 2, 6, 10_000):
+            rng = np.random.default_rng(12345)
+            config = AbductionConfig(max_depth=max_depth)
+            for _ in range(80):
+                _, rules, obs = random_instance(rng)
+                fast = explain(obs, rules, config)
+                slow = brute_force_explain(obs, rules, config)
+                assert fast.total_cost == slow.total_cost
+                assert fast.assumptions == slow.assumptions
+                assert fast.charges == slow.charges
+                paid = sum(
+                    fast.charges[a] for a, r in fast.labels.items() if r is None
+                )
+                assert fast.total_cost == pytest.approx(paid, abs=1e-12)
 
 
 @st.composite

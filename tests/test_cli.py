@@ -331,6 +331,17 @@ class TestAbduce:
         assert f"--facts holds the claim {claim!r}" in result.output
         assert "R_norm" not in result.output
 
+    def test_repeated_premise_fails_naming_file_and_line(self, runner, toy_dir, tmp_path):
+        # Loaded, this line would split its weight four ways and quietly
+        # change every score.
+        data_dir = tmp_path / "toy"
+        shutil.copytree(toy_dir, data_dir)
+        (data_dir / "rules.txt").write_text("d1 & d1 & d2 & d3 -> c\n")
+        result = runner.invoke(main, ["abduce", "--data", str(data_dir), "--facts", "d1,d2"])
+        assert result.exit_code == 1
+        assert "rules.txt:1: rule 'c' repeats premise 'd1'" in result.output
+        assert "R_norm" not in result.output
+
     def test_unknown_claim_fails(self, runner, toy_dir):
         result = runner.invoke(
             main, ["abduce", "--data", str(toy_dir), "--claim", "zz"]

@@ -48,6 +48,10 @@ class TestRule:
         with pytest.raises(KBError):
             Rule(("a", "c"), "c", (0.5, 0.5))
 
+    def test_repeated_premise_rejected(self):
+        with pytest.raises(KBError, match="repeats premise 'a'"):
+            Rule(("a", "b", "a"), "c", (0.5, 0.5, 0.5))
+
     def test_non_positive_weight_rejected(self):
         with pytest.raises(KBError):
             Rule(("a",), "c", (0.0,))
