@@ -29,6 +29,10 @@ logger = logging.getLogger(__name__)
 # broken by (fewer assumptions, lexicographically smallest assumption set).
 _TIE_REL = 1e-9
 
+# Nodes one component's proof search may visit before ``explain`` gives up.
+# Far above any search the bundled datasets need (a few thousand nodes).
+_MAX_NODES = 1_000_000
+
 
 class AbductionError(ValueError):
     """Raised when an explanation instance exceeds configured resource caps."""
@@ -256,9 +260,14 @@ class _BranchAndBound:
     once, so the cap loses no valid labeling and keeps the raise's recursion
     within the component.
 
-    The lower bound is the sum of charge floors over atoms already assumed;
-    charges are finalized only on complete labelings because a later rule
-    choice can still lower the charge of an atom assumed earlier.
+    The lower bound ``lb`` is the sum of charge floors over the atoms already
+    assumed and the forced assumptions: needed atoms that no rule concludes.
+    A forced atom can only be assumed, exactly once, so its floor counts from
+    the moment it is needed (an observation at the start, a premise when a
+    rule makes it pending) and is not added again when it is assumed.
+    Charges are finalized only on complete labelings because a later rule
+    choice can still lower the charge of an atom assumed earlier. Each
+    search visits at most ``_MAX_NODES`` nodes.
     """
 
     def __init__(
@@ -274,14 +283,19 @@ class _BranchAndBound:
         self.floors = floors
         self.config = config
         self.max_depth = min(config.max_depth, component_size - 1)
+        self.nodes = 0
 
+        ordered = sorted(observations)
         self.labels: dict[str, Rule | None] = {}
         self.pending: set[str] = set(observations)
         self.depth: dict[str, int] = {a: 0 for a in observations}
         self.lb = 0.0
+        for a in ordered:
+            if a not in by_conclusion:
+                self.lb += floors[a]
 
         # All-assume labeling is always valid; seed the incumbent with it.
-        self.best_labels = {a: None for a in observations}
+        self.best_labels = {a: None for a in ordered}
         self.best_cost = config.obs_cost * len(observations)
         self.best_rank = _labeling_rank(self.best_labels)
         self.prune_cost = self.best_cost
@@ -296,6 +310,11 @@ class _BranchAndBound:
     # -- search -----------------------------------------------------------
 
     def _dfs(self) -> None:
+        self.nodes += 1
+        if self.nodes > _MAX_NODES:
+            raise AbductionError(
+                f"proof search visited {self.nodes} nodes, above the cap of {_MAX_NODES}"
+            )
         if self.lb > self.prune_cost + _tie_eps(self.prune_cost):
             return
         if not self.pending:
@@ -323,15 +342,18 @@ class _BranchAndBound:
                 self.prune_cost = total
 
     def _try_assume(self, atom: str) -> None:
+        lb = self.lb
+        if atom in self.by_conclusion:
+            self.lb += self.floors[atom]  # a forced atom was counted when needed
         self.labels[atom] = None
         self.pending.discard(atom)
-        self.lb += self.floors[atom]
         self._dfs()
-        self.lb -= self.floors[atom]
         self.pending.add(atom)
         del self.labels[atom]
+        self.lb = lb
 
     def _try_rule(self, atom: str, rule: Rule) -> None:
+        lb = self.lb
         self.labels[atom] = rule
         self.pending.discard(atom)
         new_pending: list[str] = []
@@ -339,6 +361,8 @@ class _BranchAndBound:
             if p not in self.labels and p not in self.pending:
                 self.pending.add(p)
                 new_pending.append(p)
+                if p not in self.by_conclusion:
+                    self.lb += self.floors[p]
         undo_depth: list[tuple[str, int | None]] = []
         ok = True
         for p in rule.premises:
@@ -357,6 +381,7 @@ class _BranchAndBound:
             self.pending.discard(p)
         self.pending.add(atom)
         del self.labels[atom]
+        self.lb = lb
 
     def _raise_depth(self, atom: str, new_depth: int, undo: list) -> bool:
         """Propagate a longest-path increase; False past the depth bound."""
@@ -384,7 +409,9 @@ def explain(
     """Minimum-cost explanation of the observation set.
 
     ``cost_hint``, when given, must be the cost of some valid labeling; it
-    seeds the incumbent and only affects search speed, never the result.
+    seeds the incumbent and affects only search speed, never the returned
+    explanation. A faster search visits fewer nodes, though, so an instance
+    near the node cap may be solved with a hint and raise without one.
     """
     config = config or AbductionConfig()
     obs = frozenset(observations)

@@ -2,11 +2,16 @@
 small enough to check by hand."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from argseek import abduction
 from argseek.abduction import (
     AbductionConfig,
     AbductionError,
@@ -16,8 +21,11 @@ from argseek.abduction import (
     explain,
     rationality,
 )
+from argseek.data import GenParams, build_synthetic
 from argseek.kb import KnowledgeBase, Rule, parse_rule
 from conftest import DYADIC_WEIGHTS, random_instance
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def rules_of(*lines: str) -> tuple[Rule, ...]:
@@ -116,6 +124,38 @@ class TestHandCases:
         chain = rules_of("a1 -> a0 :: 0.5", "a2 -> a1 :: 0.5", "a3 -> a2 :: 0.5")
         with pytest.raises(AbductionError, match="cap"):
             explain({"a0"}, chain, AbductionConfig(max_universe=3))
+
+    def test_node_cap_enforced_per_component(self, monkeypatch):
+        # A rule-less observation is its own component, searched in two
+        # nodes: the root and its ASSUME.
+        monkeypatch.setattr(abduction, "_MAX_NODES", 2)
+        explain({"a", "b"}, [])
+        monkeypatch.setattr(abduction, "_MAX_NODES", 1)
+        with pytest.raises(AbductionError, match="visited 2 nodes, above the cap of 1"):
+            explain({"a"}, [])
+
+    def test_labels_order_independent_of_string_hashing(self):
+        # One component in which all-ASSUME wins: deriving o_i from o_i+1
+        # also needs y_i at charge 12 > 10. The labeling is the search's
+        # seed incumbent.
+        script = (
+            "from argseek.abduction import explain\n"
+            "from argseek.kb import parse_rule\n"
+            "obs = ['o%d' % i for i in range(12)]\n"
+            "rules = [parse_rule('o%d & y%d -> o%d :: 2.4' % (i + 1, i, i)) for i in range(11)]\n"
+            "proof = explain(set(obs), rules)\n"
+            "assert proof.assumptions == tuple(sorted(obs))\n"
+            "print(list(proof.labels))\n"
+        )
+        orders = set()
+        for hash_seed in range(4):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": str(SRC_DIR)}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=60, check=True,
+            )
+            orders.add(done.stdout)
+        assert len(orders) == 1, orders
 
     def test_cost_hint_never_changes_result(self):
         rules = rules_of("x -> a :: 0.5", "x -> b :: 1.0")
@@ -245,6 +285,73 @@ class TestOracleEquivalence:
                     fast.charges[a] for a, r in fast.labels.items() if r is None
                 )
                 assert fast.total_cost == pytest.approx(paid, abs=1e-12)
+
+
+def generator_shaped_instance(
+    rng: np.random.Generator,
+) -> tuple[list[Rule], frozenset[str]]:
+    """A small instance shaped like ``build_synthetic``'s: a binary backbone
+    under b0 at total rule weights 0.8 then 0.9, and distractor rules at
+    premise weight 1.2 whose first premise is an earlier atom and whose
+    other premises are rule-less leaves or earlier atoms. Observations mix
+    distractor conclusions with backbone atoms and leaves."""
+    depth = int(rng.integers(1, 3))
+    backbone = [f"b{i}" for i in range(2 ** (depth + 1) - 1)]
+    rules = [
+        parse_rule(f"b{2 * i + 1} & b{2 * i + 2} -> b{i} :: {0.8 if i == 0 else 0.9}")
+        for i in range(2**depth - 1)
+    ]
+    existing = list(backbone)
+    concluded: list[str] = []
+    leaves: list[str] = []
+    for i in range(int(rng.integers(1, 4))):
+        conclusion = f"d{i}"
+        premises = [existing[int(rng.integers(len(existing)))]]
+        for _ in range(int(rng.integers(1, 3))):
+            if len(leaves) < 4 and rng.random() < 0.7:
+                leaves.append(f"l{len(leaves)}")
+                premises.append(leaves[-1])
+            else:
+                pick = existing[int(rng.integers(len(existing)))]
+                if pick not in premises:
+                    premises.append(pick)
+        total = 1.2 * len(premises)
+        rules.append(parse_rule(f"{' & '.join(premises)} -> {conclusion} :: {total!r}"))
+        concluded.append(conclusion)
+        existing.extend(a for a in [conclusion, *premises] if a not in existing)
+    picks = concluded + [
+        existing[int(i)] for i in rng.choice(len(existing), size=2, replace=False)
+    ]
+    n_obs = int(rng.integers(1, min(4, len(picks)) + 1))
+    obs = frozenset(picks[int(i)] for i in rng.choice(len(picks), size=n_obs, replace=False))
+    return rules, obs
+
+
+class TestGeneratorShapedOracle:
+    @pytest.mark.parametrize("max_depth", [0, 1, 2, 6, 10_000])
+    def test_generator_shaped_instances_agree_exactly(self, max_depth):
+        rng = np.random.default_rng(4242)
+        config = AbductionConfig(max_depth=max_depth)
+        for _ in range(60):
+            rules, obs = generator_shaped_instance(rng)
+            fast = explain(obs, rules, config)
+            slow = brute_force_explain(obs, rules, config)
+            assert fast.total_cost == slow.total_cost
+            assert fast.assumptions == slow.assumptions
+            assert fast.charges == slow.charges
+
+
+class TestHeavyTail:
+    def test_bench_heavy_joint_within_node_cap(self, monkeypatch):
+        # The bench pool's heaviest joint instance. A bound that counts only
+        # atoms already assumed searched 2,975,779 nodes on it; counting the
+        # forced assumptions from the moment they are needed takes a few
+        # thousand, so a looser bound fails here on the cap, not on time.
+        monkeypatch.setattr(abduction, "_MAX_NODES", 20_000)
+        bench = build_synthetic(GenParams())
+        facts = "q014,q027,q032,q036,q037,q047,q060,q063,q067".split(",")
+        proof = explain({*facts, bench.claim}, bench.rules, bench.config)
+        assert proof.total_cost == pytest.approx(86.48, rel=1e-9, abs=0.0)
 
 
 @st.composite

@@ -370,3 +370,12 @@ class TestResourceCaps:
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert "max_universe" in result.output
+
+    def test_node_cap_fails_with_the_count(self, runner, toy_dir, monkeypatch):
+        monkeypatch.setattr(abduction, "_MAX_NODES", 1)
+        result = runner.invoke(main, ["abduce", "--data", str(toy_dir), "--facts", "d1,d2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert "visited 2 nodes, above the cap of 1" in result.output
+        assert "R_norm" not in result.output
