@@ -9,8 +9,12 @@ charge, once. The cost of an explanation is the sum of charges over the
 ASSUME-labeled atoms, and ``explain`` minimizes it by branch and bound.
 
 ``brute_force_explain`` is a deliberately separate exhaustive implementation
-kept as an oracle for the search; the two must agree exactly on any instance
-small enough for enumeration.
+kept as an oracle for the search. On any instance small enough for
+enumeration the two must return the same assumptions, and totals within the
+tie window: ``explain`` adds up per-component totals while the oracle sums
+all assumed atoms in one pass, so on weights that are not dyadic the last bit
+of a total can differ. Labels and charges agree too, unless two labelings tie
+on both cost and assumptions; either one is then optimal.
 """
 
 from __future__ import annotations
@@ -212,32 +216,21 @@ def _components(
 
 
 def _final_charges(
-    labels: dict[str, Rule | None],
+    labels: Mapping[str, Rule | None],
+    depth: Mapping[str, int],
     observations: frozenset[str],
     obs_cost: float,
 ) -> tuple[dict[str, float], float]:
-    """Exact charge propagation over a complete labeling (topological pass)."""
-    contribs: dict[str, list[tuple[str, float]]] = {}
-    for parent, rule in labels.items():
-        if rule is not None:
-            for p, theta in zip(rule.premises, rule.premise_weights):
-                contribs.setdefault(p, []).append((parent, theta))
-    indeg = {a: len(contribs.get(a, ())) for a in labels}
-    ready = sorted(a for a, d in indeg.items() if d == 0)
-    charges: dict[str, float] = {}
-    while ready:
-        atom = ready.pop()
-        c = obs_cost if atom in observations else math.inf
-        for parent, theta in contribs.get(atom, ()):
-            c = min(c, charges[parent] * theta)
-        charges[atom] = c
+    """Exact charge propagation over a complete labeling. Every premise of a
+    used rule lies deeper than its conclusion, so one pass in ``depth`` order
+    passes each atom's charge down only once it is final."""
+    charges = {a: (obs_cost if a in observations else math.inf) for a in labels}
+    for atom in sorted(labels, key=depth.__getitem__):
         rule = labels[atom]
         if rule is not None:
-            for p in rule.premises:
-                indeg[p] -= 1
-                if indeg[p] == 0:
-                    ready.append(p)
-        ready.sort()
+            c = charges[atom]
+            for p, theta in zip(rule.premises, rule.premise_weights):
+                charges[p] = min(charges[p], c * theta)
     total = 0.0
     for atom in sorted(labels):
         if labels[atom] is None:
@@ -266,8 +259,9 @@ class _BranchAndBound:
     the moment it is needed (an observation at the start, a premise when a
     rule makes it pending) and is not added again when it is assumed.
     Charges are finalized only on complete labelings because a later rule
-    choice can still lower the charge of an atom assumed earlier. Each
-    search visits at most ``_MAX_NODES`` nodes.
+    choice can still lower the charge of an atom assumed earlier; the depths
+    order that final pass, so the incumbent keeps its own. Each search
+    visits at most ``_MAX_NODES`` nodes.
     """
 
     def __init__(
@@ -296,15 +290,15 @@ class _BranchAndBound:
 
         # All-assume labeling is always valid; seed the incumbent with it.
         self.best_labels = {a: None for a in ordered}
+        self.best_depth = dict(self.depth)
         self.best_cost = config.obs_cost * len(observations)
         self.best_rank = _labeling_rank(self.best_labels)
-        self.prune_cost = self.best_cost
 
-    def solve(self, cost_hint: float | None = None) -> tuple[dict, dict, float]:
-        if cost_hint is not None and cost_hint < self.prune_cost:
-            self.prune_cost = cost_hint
+    def solve(self) -> tuple[dict, dict, float]:
         self._dfs()
-        charges, total = _final_charges(self.best_labels, self.obs, self.config.obs_cost)
+        charges, total = _final_charges(
+            self.best_labels, self.best_depth, self.obs, self.config.obs_cost
+        )
         return self.best_labels, charges, total
 
     # -- search -----------------------------------------------------------
@@ -315,7 +309,7 @@ class _BranchAndBound:
             raise AbductionError(
                 f"proof search visited {self.nodes} nodes, above the cap of {_MAX_NODES}"
             )
-        if self.lb > self.prune_cost + _tie_eps(self.prune_cost):
+        if self.lb > self.best_cost + _tie_eps(self.best_cost):
             return
         if not self.pending:
             self._complete()
@@ -326,7 +320,7 @@ class _BranchAndBound:
             self._try_rule(atom, rule)
 
     def _complete(self) -> None:
-        charges, total = _final_charges(self.labels, self.obs, self.config.obs_cost)
+        _, total = _final_charges(self.labels, self.depth, self.obs, self.config.obs_cost)
         eps = _tie_eps(min(total, self.best_cost))
         if total < self.best_cost - eps:
             better = True
@@ -336,10 +330,9 @@ class _BranchAndBound:
             better = False
         if better:
             self.best_labels = dict(self.labels)
+            self.best_depth = dict(self.depth)
             self.best_cost = total
             self.best_rank = _labeling_rank(self.labels)
-            if total < self.prune_cost:
-                self.prune_cost = total
 
     def _try_assume(self, atom: str) -> None:
         lb = self.lb
@@ -404,15 +397,8 @@ def explain(
     observations: Iterable[str],
     rules: Iterable[Rule],
     config: AbductionConfig | None = None,
-    cost_hint: float | None = None,
 ) -> ProofStructure:
-    """Minimum-cost explanation of the observation set.
-
-    ``cost_hint``, when given, must be the cost of some valid labeling; it
-    seeds the incumbent and affects only search speed, never the returned
-    explanation. A faster search visits fewer nodes, though, so an instance
-    near the node cap may be solved with a hint and raise without one.
-    """
+    """Minimum-cost explanation of the observation set."""
     config = config or AbductionConfig()
     obs = frozenset(observations)
     if not obs:
@@ -436,8 +422,7 @@ def explain(
         comp_set = set(comp)
         comp_rules = {a: rs for a, rs in by_conclusion.items() if a in comp_set}
         search = _BranchAndBound(comp_obs, comp_rules, floors, config, len(comp))
-        hint = cost_hint if len(comp_obs) == len(obs) else None
-        comp_labels, comp_charges, comp_total = search.solve(hint)
+        comp_labels, comp_charges, comp_total = search.solve()
         labels.update(comp_labels)
         charges.update(comp_charges)
         total += comp_total
@@ -576,8 +561,8 @@ def rationality(
 
     Returns the three explanation costs, the raw saving r, and its
     normalized form r_norm = r / (e_alpha + e_k), zero when that sum is zero.
-    The costs come from a fresh :class:`ExplainCache`, the one place that
-    sequences the three explanations.
+    The costs come from :meth:`ExplainCache.rationality` on a fresh cache,
+    so this function and a dialogue's cached steps share one formula.
     """
     cache = ExplainCache(kq.rules, config or AbductionConfig())
     return cache.rationality(kq.facts, claim)
@@ -642,12 +627,12 @@ def construct_argument(
 
 
 class ExplainCache:
-    """Memoizes explanation costs for a fixed rule set and config.
+    """Memoizes explanations for a fixed rule set and config.
 
     Dialogue episodes recompute rationality on slowly growing fact sets, so
-    keying on the frozen observation set gives high hit rates. Also seeds
-    each joint query with the one-more-assumption bound from the previous
-    fact set when available.
+    keying on the frozen observation set gives high hit rates. A miss runs
+    :func:`explain` on the set alone: what the cache already holds changes
+    neither the result nor whether the search hits the node cap.
     """
 
     def __init__(self, rules: Sequence[Rule], config: AbductionConfig):
@@ -657,20 +642,9 @@ class ExplainCache:
 
     def explain(self, observations: Iterable[str]) -> ProofStructure:
         key = frozenset(observations)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        hint = None
-        # Any superset labeling of (key minus one atom) extends by one
-        # assumption, so a cached subset cost + obs_cost is a sound hint.
-        for atom in key:
-            sub = self._memo.get(key - {atom})
-            if sub is not None:
-                cand = sub.total_cost + self.config.obs_cost
-                if hint is None or cand < hint:
-                    hint = cand
-        proof = explain(key, self.rules, self.config, cost_hint=hint)
-        self._memo[key] = proof
+        proof = self._memo.get(key)
+        if proof is None:
+            proof = self._memo[key] = explain(key, self.rules, self.config)
         return proof
 
     def rationality(self, facts: Iterable[str], claim: str) -> RationalityResult:

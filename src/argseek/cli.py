@@ -51,10 +51,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _load_models(
-    model_paths: tuple[str, ...], seeds: list[int], scenario: Scenario
-) -> dict[int, QNetworkParams]:
-    """Load one model per seed; each must map the scenario's features to its
-    actions."""
+    strategy: str, model_paths: tuple[str, ...], seeds: list[int], scenario: Scenario
+) -> dict[int, QNetworkParams] | None:
+    """Load one ddqn model per seed; each must map the scenario's features to
+    its actions. None for a baseline, which takes no --model."""
+    if strategy != "ddqn":
+        if model_paths:
+            raise click.ClickException(f"--model is only for --strategy ddqn, not {strategy}")
+        return None
+    if not model_paths:
+        raise click.ClickException("--strategy ddqn requires --model")
     if len(model_paths) == 1:
         paths = list(model_paths) * len(seeds)
     elif len(model_paths) == len(seeds):
@@ -147,11 +153,7 @@ def eval_cmd(data, strategy, model_paths, seeds, t_limit, out_path) -> None:
     seed_list = _parse_seeds(seeds)
     try:
         ds = _load(data)
-        models = None
-        if strategy == "ddqn":
-            if not model_paths:
-                raise click.ClickException("--strategy ddqn requires --model")
-            models = _load_models(model_paths, seed_list, ds.scenario)
+        models = _load_models(strategy, model_paths, seed_list, ds.scenario)
         metrics = evaluate(
             strategy, ds.test_kas, ds.scenario, seed_list, models=models, t_limit=t_limit
         )
@@ -172,11 +174,7 @@ def sweep(data, strategy, model_paths, seeds, max_tlimit, out_path) -> None:
     seed_list = _parse_seeds(seeds)
     try:
         ds = _load(data)
-        models = None
-        if strategy == "ddqn":
-            if not model_paths:
-                raise click.ClickException("--strategy ddqn requires --model")
-            models = _load_models(model_paths, seed_list, ds.scenario)
+        models = _load_models(strategy, model_paths, seed_list, ds.scenario)
         table = sweep_tlimit(
             strategy, ds.test_kas, ds.scenario, seed_list, max_tlimit, models=models
         )
@@ -198,7 +196,7 @@ def transcript(data, model_paths, ka_index, seed) -> None:
             raise click.ClickException(
                 f"--ka {ka_index} out of range (dataset has {len(ds.kas)} K_A sets)"
             )
-        models = _load_models(model_paths, [seed], ds.scenario)
+        models = _load_models("ddqn", model_paths, [seed], ds.scenario)
         scenario = ds.scenario
         policy = policy_factory("ddqn", scenario, models[seed])()
         log = run_episode(scenario, ds.kas[ka_index], policy, np.random.default_rng(seed))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,10 @@ def random_instance(
     rng: np.random.Generator,
     max_atoms: int = 8,
     max_rules: int = 6,
+    weights: Sequence[float] = DYADIC_WEIGHTS,
 ) -> tuple[list[str], list[Rule], frozenset[str]]:
-    """Small random (atoms, rules, observations) abduction instance."""
+    """Small random (atoms, rules, observations) abduction instance; each rule
+    draws one premise weight from ``weights``."""
     n_atoms = int(rng.integers(3, max_atoms + 1))
     atoms = [f"a{i}" for i in range(n_atoms)]
     rules: list[Rule] = []
@@ -31,7 +35,7 @@ def random_instance(
         k = int(rng.integers(1, min(3, len(others)) + 1))
         picked = rng.choice(len(others), size=k, replace=False)
         premises = tuple(others[i] for i in sorted(picked))
-        theta = DYADIC_WEIGHTS[int(rng.integers(len(DYADIC_WEIGHTS)))]
+        theta = weights[int(rng.integers(len(weights)))]
         rules.append(Rule(premises, conclusion, (theta,) * k))
     n_obs = int(rng.integers(1, 4))
     picked = rng.choice(n_atoms, size=min(n_obs, n_atoms), replace=False)

@@ -136,6 +136,17 @@ class TestEval:
         assert result.exit_code != 0
         assert "--model" in result.output
 
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_model_with_baseline_refused(self, runner, toy_dir, oracle_path, command):
+        # A baseline would run without the model, so the flag is a mistake.
+        result = runner.invoke(
+            main,
+            [command, "--data", str(toy_dir), "--strategy", "random", "--model", oracle_path],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "--model" in result.output
+
     def test_model_count_must_match_seeds(self, runner, toy_dir, oracle_path):
         result = runner.invoke(
             main,
