@@ -10,11 +10,10 @@ ASSUME-labeled atoms, and ``explain`` minimizes it by branch and bound.
 
 ``brute_force_explain`` is a deliberately separate exhaustive implementation
 kept as an oracle for the search. On any instance small enough for
-enumeration the two must return the same assumptions, and totals within the
-tie window: ``explain`` adds up per-component totals while the oracle sums
-all assumed atoms in one pass, so on weights that are not dyadic the last bit
-of a total can differ. Labels and charges agree too, unless two labelings tie
-on both cost and assumptions; either one is then optimal.
+enumeration the two must return the same labels and charges, and totals
+within the tie window: ``explain`` adds up per-component totals while the
+oracle sums all assumed atoms in one pass, so on weights that are not dyadic
+the last bit of a total can differ.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .kb import KnowledgeBase, Rule, render_rule
 logger = logging.getLogger(__name__)
 
 # Relative window within which two labeling costs count as a tie; ties are
-# broken by (fewer assumptions, lexicographically smallest assumption set).
+# broken by (fewer assumptions, lexicographically smallest assumption set,
+# smallest sorted set of used rules), so each instance has one optimum.
 _TIE_REL = 1e-9
 
 # Nodes one component's proof search may visit before ``explain`` gives up.
@@ -39,7 +39,7 @@ _MAX_NODES = 1_000_000
 
 
 class AbductionError(ValueError):
-    """Raised when an explanation instance exceeds configured resource caps."""
+    """Raised when a proof search exceeds its node cap."""
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,10 @@ class AbductionConfig:
     obs_cost: charge carried by each observed atom before any rule applies.
     max_depth: cap on rule-chaining depth below any observation; bounds the
         search on recursive rule sets.
-    max_universe: cap on the number of distinct atoms an instance may touch.
     """
 
     obs_cost: float = 10.0
     max_depth: int = 6
-    max_universe: int = 64
 
     def __post_init__(self) -> None:
         if not 0 < self.obs_cost < math.inf:
@@ -122,7 +120,8 @@ def _tie_eps(cost: float) -> float:
 
 def _labeling_rank(labels: Mapping[str, Rule | None]) -> tuple:
     asm = tuple(sorted(a for a, r in labels.items() if r is None))
-    return (len(asm), asm)
+    used = tuple(sorted(r.sort_key() for r in labels.values() if r is not None))
+    return (len(asm), asm, used)
 
 
 def _reachable_universe(
@@ -405,11 +404,6 @@ def explain(
         return ProofStructure({}, {}, 0.0)
     rule_list = list(rules)
     dist, by_conclusion = _reachable_universe(sorted(obs), rule_list, config.max_depth)
-    if len(dist) > config.max_universe:
-        raise AbductionError(
-            f"instance touches {len(dist)} atoms, above the max_universe cap of "
-            f"{config.max_universe}"
-        )
     floors = _charge_floors(dist, obs, by_conclusion, config)
 
     labels: dict[str, Rule | None] = {}

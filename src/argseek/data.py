@@ -23,7 +23,6 @@ import dataclasses
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -131,32 +130,49 @@ class Dataset:
         return self.kas[self.train_count :]
 
 
+# Every manifest key, in the order ``save_dataset`` writes them, with the
+# parser of its value and the record whose field, the key in lower case, it
+# sets; a file key sets none and is written as its name in ``_FILE_NAMES``.
+# A manifest holds each key once, and no other key but ``questions_file``.
+_MANIFEST_KEYS = {
+    "facts_file": (str, None),
+    "rules_file": (str, None),
+    "ka_file": (str, None),
+    "claim": (str, Dataset),
+    "theta_R": (float, Scenario),
+    "t_limit": (int, Scenario),
+    "r_goal": (float, Scenario),
+    "r_time": (float, Scenario),
+    "train_count": (int, Dataset),
+    "obs_cost": (float, AbductionConfig),
+    "max_depth": (int, AbductionConfig),
+}
+_FILE_NAMES = {"facts_file": "facts.txt", "rules_file": "rules.txt", "ka_file": "kas.txt"}
+
+
 def _parse_manifest(path: Path) -> dict[str, str]:
     entries: dict[str, str] = {}
     for lineno, line in content_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _MANIFEST_KEYS and key != "questions_file":
+            raise ValueError(f"{path}:{lineno}: unknown manifest key {key!r}")
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: repeated manifest key {key!r}")
+        entries[key] = value
+    missing = [k for k in _MANIFEST_KEYS if k not in entries]
+    if missing:
+        raise ValueError(f"{path}: missing manifest keys {missing}")
     return entries
 
 
-_T = TypeVar("_T")
-
-# Numeric manifest keys and their parsers, by the record they set. A key in
-# lower case is the record's field name.
-_CONFIG_KEYS = {"obs_cost": float, "max_depth": int, "max_universe": int}
-_SCENARIO_KEYS = {"theta_R": float, "t_limit": int, "r_goal": float, "r_time": float}
-
-
-def _set_manifest_values(
-    path: Path, entries: dict[str, str], record: _T, keys: dict[str, Callable[[str], object]]
-) -> _T:
-    """``record`` with each of ``keys`` that the manifest gives parsed and set,
-    one at a time, so that a value that fails to parse or validate names its
-    key."""
-    for key, parse in keys.items():
-        if key in entries:
+def _set_manifest_values(path: Path, entries: dict[str, str], record):
+    """``record`` with each manifest key that sets one of its fields parsed
+    and set, one at a time, so that a value that fails to parse or validate
+    names its key."""
+    for key, (parse, owner) in _MANIFEST_KEYS.items():
+        if owner is type(record):
             try:
                 record = dataclasses.replace(record, **{key.lower(): parse(entries[key])})
             except ValueError as exc:
@@ -172,20 +188,15 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     base = manifest_path.parent
     entries = _parse_manifest(manifest_path)
 
-    required = ["facts_file", "rules_file", "ka_file", "claim", "train_count"]
-    missing = [k for k in required if k not in entries]
-    if missing:
-        raise ValueError(f"{manifest_path}: missing manifest keys {missing}")
-
     facts_file = base / entries["facts_file"]
     universe = tuple(load_facts_file(facts_file))
-    rules = tuple(load_rules_file(base / entries["rules_file"]))
+    atom_set = set(universe)
+    rules = tuple(load_rules_file(base / entries["rules_file"], atom_set))
     claim = entries["claim"]
     if claim not in universe:
         raise ValueError(f"{manifest_path}: claim: {claim!r} is not in {facts_file}")
 
     ka_file = base / entries["ka_file"]
-    atom_set = set(universe)
     kas = []
     for lineno, line in enumerate(read_lines(ka_file), 1):
         ka = frozenset(line.split())
@@ -208,12 +219,12 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             f"{len(kas)} answerer sets"
         )
 
-    config = _set_manifest_values(manifest_path, entries, AbductionConfig(), _CONFIG_KEYS)
+    config = _set_manifest_values(manifest_path, entries, AbductionConfig())
     try:
         scenario = Scenario(claim, universe, rules, theta_r=0.7, t_limit=10, config=config)
     except ValueError as exc:
         raise ValueError(f"{facts_file}: {exc}") from None
-    scenario = _set_manifest_values(manifest_path, entries, scenario, _SCENARIO_KEYS)
+    scenario = _set_manifest_values(manifest_path, entries, scenario)
     questions: dict[str, tuple[str, str]] = {}
     q_file = base / entries.get("questions_file", "questions.tsv")
     if q_file.is_file():
@@ -244,13 +255,13 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     """Write a dataset directory; returns the manifest path."""
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
-    (base / "facts.txt").write_text(
+    (base / _FILE_NAMES["facts_file"]).write_text(
         "".join(f"{a}\n" for a in dataset.universe), encoding="utf-8"
     )
-    (base / "rules.txt").write_text(
+    (base / _FILE_NAMES["rules_file"]).write_text(
         "".join(f"{render_rule(r)}\n" for r in dataset.rules), encoding="utf-8"
     )
-    (base / "kas.txt").write_text(
+    (base / _FILE_NAMES["ka_file"]).write_text(
         "".join(" ".join(sorted(ka)) + "\n" for ka in dataset.kas), encoding="utf-8"
     )
     if dataset.questions:
@@ -259,21 +270,14 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
             for atom, (q, a) in sorted(dataset.questions.items())
         ]
         (base / "questions.tsv").write_text("".join(lines), encoding="utf-8")
+    values = {
+        key: _FILE_NAMES[key] if owner is None
+        else getattr(dataset.config if owner is AbductionConfig else dataset, key.lower())
+        for key, (_, owner) in _MANIFEST_KEYS.items()
+    }
     manifest = base / "manifest.txt"
     manifest.write_text(
-        "facts_file = facts.txt\n"
-        "rules_file = rules.txt\n"
-        "ka_file = kas.txt\n"
-        f"claim = {dataset.claim}\n"
-        f"theta_R = {dataset.theta_r!r}\n"
-        f"t_limit = {dataset.t_limit}\n"
-        f"r_goal = {dataset.r_goal!r}\n"
-        f"r_time = {dataset.r_time!r}\n"
-        f"train_count = {dataset.train_count}\n"
-        f"obs_cost = {dataset.config.obs_cost!r}\n"
-        f"max_depth = {dataset.config.max_depth}\n"
-        f"max_universe = {dataset.config.max_universe}\n",
-        encoding="utf-8",
+        "".join(f"{key} = {value}\n" for key, value in values.items()), encoding="utf-8"
     )
     return manifest
 
@@ -352,10 +356,7 @@ def build_synthetic(params: GenParams) -> Dataset:
         for _ in range(params.ka_count)
     )
     questions = {a: _question_text(a, claim) for a in atoms}
-    config = AbductionConfig(
-        obs_cost=10.0, max_depth=max(6, params.backbone_depth + 1),
-        max_universe=params.n_facts + 1,
-    )
+    config = AbductionConfig(obs_cost=10.0, max_depth=max(6, params.backbone_depth + 1))
     return Dataset(
         universe=tuple(atoms),
         rules=tuple(rules),

@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 logger = logging.getLogger(__name__)
 
@@ -200,13 +200,17 @@ def load_facts_file(path: str | Path) -> list[str]:
     return list(seen)
 
 
-def load_rules_file(path: str | Path) -> list[Rule]:
-    """Read one rule per line; '#' lines are comments. Parse errors name the
-    offending line."""
+def load_rules_file(path: str | Path, atoms: Container[str] | None = None) -> list[Rule]:
+    """Read one rule per line; '#' lines are comments. Parse errors, and a
+    rule over an atom outside ``atoms`` when given, name the offending line."""
     rules = []
     for lineno, line in content_lines(path):
         try:
-            rules.append(parse_rule(line))
+            rule = parse_rule(line)
+            for atom in (*rule.premises, rule.conclusion) if atoms is not None else ():
+                if atom not in atoms:
+                    raise KBError(f"rule references unknown atom {atom!r}")
         except KBError as exc:
             raise KBError(f"{path}:{lineno}: {exc}") from None
+        rules.append(rule)
     return rules

@@ -63,8 +63,6 @@ class TestBuildSynthetic:
         assert len(ds.test_kas) == 50
         assert ds.theta_r == 0.7
         assert ds.t_limit == 10
-        # Joint instances can touch the whole universe plus the claim.
-        assert ds.config.max_universe > len(ds.universe) - 1
 
     def test_backbone_tree_structure(self, benchmark_small):
         rules = benchmark_small.rules
@@ -312,7 +310,36 @@ class TestLoaderValidation:
         )
         with pytest.raises(ValueError) as err:
             load_dataset(manifest)
-        assert str(err.value) == f"{manifest}: missing manifest keys ['ka_file']"
+        assert str(err.value) == f"{manifest}:3: unknown manifest key 'ka_dir'"
+
+    def test_misspelled_key_names_line(self, ds_dir):
+        # Ignored, the misspelling would leave theta_R at a placeholder.
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("theta_R = 0.7", "theta_r = 0.99"))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest}:5: unknown manifest key 'theta_r'"
+
+    def test_repeated_key_names_line(self, ds_dir):
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "t_limit = 3\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest}:12: repeated manifest key 't_limit'"
+
+    def test_every_written_key_required(self, ds_dir):
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("theta_R = 0.7\n", ""))
+        with pytest.raises(ValueError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == f"{manifest}: missing manifest keys ['theta_R']"
+
+    def test_rule_over_unknown_atom_names_line(self, ds_dir):
+        rules_file = ds_dir / "rules.txt"
+        rules_file.write_text(rules_file.read_text() + "zz & q001 -> q000 :: 1.0\n")
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == f"{rules_file}:13: rule references unknown atom 'zz'"
 
     @pytest.mark.parametrize(
         "old,new,message",
