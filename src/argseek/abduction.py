@@ -37,9 +37,13 @@ _TIE_REL = 1e-9
 # Far above any search the bundled datasets need (a few thousand nodes).
 _MAX_NODES = 1_000_000
 
+# Largest reachable universe ``brute_force_explain`` enumerates.
+_ORACLE_MAX_ATOMS = 14
+
 
 class AbductionError(ValueError):
-    """Raised when a proof search exceeds its node cap."""
+    """Raised when a proof search exceeds its node cap, or the oracle its
+    universe cap."""
 
 
 @dataclass(frozen=True)
@@ -257,9 +261,11 @@ class _BranchAndBound:
     A forced atom can only be assumed, exactly once, so its floor counts from
     the moment it is needed (an observation at the start, a premise when a
     rule makes it pending) and is not added again when it is assumed.
-    Charges are finalized only on complete labelings because a later rule
-    choice can still lower the charge of an atom assumed earlier; the depths
-    order that final pass, so the incumbent keeps its own. Each search
+    Charges are finalized only on complete labelings, in one pass ordered by
+    their depths, because a later rule choice can still lower the charge of
+    an atom assumed earlier. The search starts with no incumbent: its first
+    leaf, reached by assuming every observation, is the all-ASSUME labeling,
+    and each accepted leaf keeps the charges its pass computed. Each search
     visits at most ``_MAX_NODES`` nodes.
     """
 
@@ -278,27 +284,21 @@ class _BranchAndBound:
         self.max_depth = min(config.max_depth, component_size - 1)
         self.nodes = 0
 
-        ordered = sorted(observations)
         self.labels: dict[str, Rule | None] = {}
         self.pending: set[str] = set(observations)
         self.depth: dict[str, int] = {a: 0 for a in observations}
         self.lb = 0.0
-        for a in ordered:
+        for a in sorted(observations):
             if a not in by_conclusion:
                 self.lb += floors[a]
 
-        # All-assume labeling is always valid; seed the incumbent with it.
-        self.best_labels = {a: None for a in ordered}
-        self.best_depth = dict(self.depth)
-        self.best_cost = config.obs_cost * len(observations)
-        self.best_rank = _labeling_rank(self.best_labels)
+        self.best_labels: dict[str, Rule | None] = {}
+        self.best_charges: dict[str, float] = {}
+        self.best_cost = math.inf
 
     def solve(self) -> tuple[dict, dict, float]:
         self._dfs()
-        charges, total = _final_charges(
-            self.best_labels, self.best_depth, self.obs, self.config.obs_cost
-        )
-        return self.best_labels, charges, total
+        return self.best_labels, self.best_charges, self.best_cost
 
     # -- search -----------------------------------------------------------
 
@@ -319,19 +319,15 @@ class _BranchAndBound:
             self._try_rule(atom, rule)
 
     def _complete(self) -> None:
-        _, total = _final_charges(self.labels, self.depth, self.obs, self.config.obs_cost)
+        charges, total = _final_charges(self.labels, self.depth, self.obs, self.config.obs_cost)
         eps = _tie_eps(min(total, self.best_cost))
-        if total < self.best_cost - eps:
-            better = True
-        elif total <= self.best_cost + eps:
-            better = _labeling_rank(self.labels) < self.best_rank
-        else:
-            better = False
-        if better:
+        if total < self.best_cost - eps or (
+            total <= self.best_cost + eps
+            and _labeling_rank(self.labels) < _labeling_rank(self.best_labels)
+        ):
             self.best_labels = dict(self.labels)
-            self.best_depth = dict(self.depth)
+            self.best_charges = charges
             self.best_cost = total
-            self.best_rank = _labeling_rank(self.labels)
 
     def _try_assume(self, atom: str) -> None:
         lb = self.lb
@@ -413,9 +409,7 @@ def explain(
         comp_obs = obs.intersection(comp)
         if not comp_obs:
             continue
-        comp_set = set(comp)
-        comp_rules = {a: rs for a, rs in by_conclusion.items() if a in comp_set}
-        search = _BranchAndBound(comp_obs, comp_rules, floors, config, len(comp))
+        search = _BranchAndBound(comp_obs, by_conclusion, floors, config, len(comp))
         comp_labels, comp_charges, comp_total = search.solve()
         labels.update(comp_labels)
         charges.update(comp_charges)
@@ -427,14 +421,13 @@ def brute_force_explain(
     observations: Iterable[str],
     rules: Iterable[Rule],
     config: AbductionConfig | None = None,
-    universe_cap: int = 14,
 ) -> ProofStructure:
     """Exhaustive oracle: enumerate every labeling, keep the cheapest.
 
     Written independently of :func:`explain` (full enumeration, relaxation
     fixpoints instead of incremental bookkeeping) so that agreement between
     the two is meaningful evidence of correctness. Refuses instances whose
-    reachable universe exceeds ``universe_cap`` atoms.
+    reachable universe exceeds ``_ORACLE_MAX_ATOMS`` atoms.
     """
     config = config or AbductionConfig()
     obs = frozenset(observations)
@@ -454,9 +447,9 @@ def brute_force_explain(
             break
         reachable |= nxt
         frontier = nxt
-    if len(reachable) > universe_cap:
+    if len(reachable) > _ORACLE_MAX_ATOMS:
         raise AbductionError(
-            f"oracle refuses {len(reachable)}-atom universe (cap {universe_cap})"
+            f"oracle refuses {len(reachable)}-atom universe (cap {_ORACLE_MAX_ATOMS})"
         )
 
     atoms = sorted(reachable)
@@ -578,37 +571,14 @@ def construct_argument(
     cache = ExplainCache(kq.rules, config or AbductionConfig())
     rat = cache.rationality(kq.facts, claim)
     joint = cache.explain(kq.facts | {claim})
+    used = {a: [r] for a, r in joint.labels.items() if r is not None}
+    component = next(c for c in _components(joint.labels, used) if claim in c)
 
-    adj: dict[str, set[str]] = {a: set() for a in joint.labels}
-    for atom, rule in joint.labels.items():
-        if rule is None:
-            continue
-        for p in rule.premises:
-            adj[atom].add(p)
-            adj[p].add(atom)
-    component = {claim}
-    stack = [claim]
-    while stack:
-        for nxt in adj.get(stack.pop(), ()):
-            if nxt not in component:
-                component.add(nxt)
-                stack.append(nxt)
-
-    support_facts = frozenset(component & kq.facts)
-    support_rules = tuple(
-        sorted(
-            {
-                r.key(): r
-                for a, r in joint.labels.items()
-                if r is not None and a in component
-            }.values(),
-            key=Rule.sort_key,
-        )
-    )
+    support_facts = kq.facts.intersection(component)
+    # Each atom carries one label, so no rule is used twice.
+    support_rules = tuple(sorted((used[a][0] for a in component if a in used), key=Rule.sort_key))
     assumptions = frozenset(
-        a
-        for a in component
-        if joint.labels.get(a) is None and a not in kq.facts and a != claim
+        a for a in component if a not in used and a not in kq.facts and a != claim
     )
     return Argument(
         claim=claim,

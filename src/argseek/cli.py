@@ -190,6 +190,8 @@ def sweep(data, strategy, model_paths, seeds, max_tlimit, out_path) -> None:
 @click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED")
 def transcript(data, model_paths, ka_index, seed) -> None:
     """Replay one dialogue with a trained model and print the exchange."""
+    if len(model_paths) > 1:
+        raise click.UsageError("--model takes one path: transcript replays one --seed")
     try:
         ds = _load(data)
         if not 0 <= ka_index < len(ds.kas):

@@ -44,9 +44,7 @@ class Rule:
     """A weighted Horn rule ``premises -> conclusion``.
 
     ``premise_weights[i]`` is the positive cost multiplier applied when the
-    conclusion's charge is passed down to ``premises[i]``. Premise order is
-    significant only for weight indexing; rule identity uses set semantics
-    (see :meth:`key`).
+    conclusion's charge is passed down to ``premises[i]``.
     """
 
     premises: tuple[str, ...]
@@ -76,10 +74,6 @@ class Rule:
     @property
     def total_weight(self) -> float:
         return sum(self.premise_weights)
-
-    def key(self) -> tuple[frozenset[str], str]:
-        """Identity key: premise set plus conclusion."""
-        return frozenset(self.premises), self.conclusion
 
     def sort_key(self) -> tuple:
         return (self.conclusion, self.premises, self.premise_weights)

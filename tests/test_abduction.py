@@ -514,3 +514,22 @@ class TestExplainCache:
             assert arg.rationality == got
             assert arg.proof.labels == joint.labels
             assert arg.proof.charges == joint.charges
+            # Reference support: flood fill from the claim over the joint
+            # proof, where a used rule joins its conclusion and premises.
+            adj: dict[str, set[str]] = {a: set() for a in joint.labels}
+            for atom, rule in joint.labels.items():
+                for p in rule.premises if rule is not None else ():
+                    adj[atom].add(p)
+                    adj[p].add(atom)
+            component, stack = {claim}, [claim]
+            while stack:
+                for nxt in adj[stack.pop()] - component:
+                    component.add(nxt)
+                    stack.append(nxt)
+            used = [joint.labels[a] for a in component if joint.labels[a] is not None]
+            assert arg.support_facts == component & facts
+            assert arg.support_rules == tuple(sorted(used, key=Rule.sort_key))
+            assert arg.assumptions == {
+                a for a in component
+                if joint.labels[a] is None and a not in facts and a != claim
+            }

@@ -275,6 +275,16 @@ class TestTranscript:
         assert result.exit_code != 0
         assert "out of range" in result.output
 
+    def test_second_model_refused(self, runner, toy_dir, oracle_path):
+        # One --seed replays one dialogue, so a second path is a usage error.
+        result = runner.invoke(
+            main,
+            ["transcript", "--data", str(toy_dir), "--model", oracle_path,
+             "--model", oracle_path, "--ka", "0"],
+        )
+        assert result.exit_code == 2
+        assert "--model" in result.output
+
 
 class TestAbduce:
     def test_costs_and_proof(self, runner, toy_dir):

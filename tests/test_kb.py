@@ -31,11 +31,6 @@ class TestRule:
         rule = Rule(("a", "b"), "c", (0.5, 0.75))
         assert rule.total_weight == 1.25
 
-    def test_key_uses_set_semantics(self):
-        r1 = Rule(("a", "b"), "c", (0.5, 0.5))
-        r2 = Rule(("b", "a"), "c", (0.75, 0.75))
-        assert r1.key() == r2.key()
-
     def test_no_premises_rejected(self):
         with pytest.raises(KBError):
             Rule((), "c", ())
