@@ -130,15 +130,15 @@ def _labeling_rank(labels: Mapping[str, Rule | None]) -> tuple:
 
 def _reachable_universe(
     observations: Sequence[str], rules: Sequence[Rule], max_depth: int
-) -> tuple[dict[str, int], dict[str, list[Rule]]]:
-    """Atoms reachable by backchaining within max_depth, with min distances,
-    plus the usable rules grouped by conclusion."""
+) -> tuple[dict[str, None], dict[str, list[Rule]]]:
+    """Atoms reachable by backchaining within max_depth, in the order
+    reached, plus the usable rules grouped by conclusion."""
     by_conclusion: dict[str, list[Rule]] = {}
     for rule in sorted(rules, key=Rule.sort_key):
         by_conclusion.setdefault(rule.conclusion, []).append(rule)
 
-    dist = {atom: 0 for atom in observations}
-    frontier = sorted(dist)
+    reached = dict.fromkeys(observations)
+    frontier = sorted(reached)
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
@@ -146,21 +146,21 @@ def _reachable_universe(
         for atom in frontier:
             for rule in by_conclusion.get(atom, ()):
                 for p in rule.premises:
-                    if p not in dist:
-                        dist[p] = depth
+                    if p not in reached:
+                        reached[p] = None
                         nxt.append(p)
         frontier = sorted(nxt)
 
     usable: dict[str, list[Rule]] = {}
-    for atom in dist:
+    for atom in reached:
         kept = [
             r
             for r in by_conclusion.get(atom, ())
-            if all(p in dist for p in r.premises)
+            if all(p in reached for p in r.premises)
         ]
         if kept:
             usable[atom] = kept
-    return dist, usable
+    return reached, usable
 
 
 def _charge_floors(
@@ -399,13 +399,13 @@ def explain(
     if not obs:
         return ProofStructure({}, {}, 0.0)
     rule_list = list(rules)
-    dist, by_conclusion = _reachable_universe(sorted(obs), rule_list, config.max_depth)
-    floors = _charge_floors(dist, obs, by_conclusion, config)
+    universe, by_conclusion = _reachable_universe(sorted(obs), rule_list, config.max_depth)
+    floors = _charge_floors(universe, obs, by_conclusion, config)
 
     labels: dict[str, Rule | None] = {}
     charges: dict[str, float] = {}
     total = 0.0
-    for comp in _components(dist, by_conclusion):
+    for comp in _components(universe, by_conclusion):
         comp_obs = obs.intersection(comp)
         if not comp_obs:
             continue

@@ -104,7 +104,7 @@ class ReplayBuffer:
 
 def epsilon_at(hp: Hyperparams, action_count: int) -> float:
     """Exploration rate after the given number of global actions."""
-    if action_count >= hp.eps_anneal_actions or hp.eps_anneal_actions == 0:
+    if action_count >= hp.eps_anneal_actions:
         return hp.eps_end
     frac = action_count / hp.eps_anneal_actions
     return hp.eps_start + (hp.eps_end - hp.eps_start) * frac
@@ -171,35 +171,25 @@ def train_ddqn(
 
     action_count = 0
     update_count = 0
+
+    def explore(state: env.EnvState, legal: np.ndarray, rng: np.random.Generator) -> int:
+        nonlocal action_count
+        epsilon = epsilon_at(hp, action_count)
+        action_count += 1
+        if rng.random() < epsilon:
+            return random_next(legal, rng)
+        return greedy_action(params, s, legal)
+
+    # Each episode starts from the empty state; a step's s_next is the next step's s.
+    start = env.featurize(env.EnvState(), scenario)
     for ep in range(hp.episodes):
         ka = ka_pool[int(rng.integers(len(ka_pool)))]
-        state = env.reset(scenario, ka)
-        features = env.featurize(state, scenario)
-        legal = env.legal_actions(state, scenario)
+        s = start
         total = 0.0
-        done = False
-        # Each step's next features and legal mask are the next step's own.
-        while not done:
-            if rng.random() < epsilon_at(hp, action_count):
-                action = random_next(legal, rng)
-            else:
-                action = greedy_action(params, features, legal)
-            action_count += 1
-            result = env.step(state, action, scenario, ka, cache)
-            state, done = result.state, result.done
+        for action, result, legal_next in env.rollout(scenario, ka, explore, rng, cache):
             total += result.reward
-            s_next = env.featurize(state, scenario)
-            legal_next = env.legal_actions(state, scenario)
-            buffer.push(
-                Transition(
-                    s=features,
-                    a=action,
-                    r=result.reward,
-                    s_next=s_next,
-                    done=done,
-                    legal_next=legal_next,
-                )
-            )
+            s_next = env.featurize(result.state, scenario)
+            buffer.push(Transition(s, action, result.reward, s_next, result.done, legal_next))
             if len(buffer) >= hp.batch_size:
                 batch = buffer.sample(hp.batch_size, rng)
                 x = np.stack([t.s for t in batch])
@@ -210,7 +200,7 @@ def train_ddqn(
                 update_count += 1
                 if update_count % hp.target_sync_every == 0:
                     target = copy_params(params)
-            features, legal = s_next, legal_next
+            s = s_next
         curve[ep] = total
         if (ep + 1) % 100 == 0:
             recent = curve[max(0, ep - 99) : ep + 1]

@@ -227,6 +227,8 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
     scenario = _set_manifest_values(manifest_path, entries, scenario)
     questions: dict[str, tuple[str, str]] = {}
     q_file = base / entries.get("questions_file", "questions.tsv")
+    if "questions_file" in entries and not q_file.is_file():
+        raise FileNotFoundError(f"{manifest_path}: questions_file: no such file {q_file}")
     if q_file.is_file():
         for lineno, raw in enumerate(read_lines(q_file), 1):
             if not raw.strip():
@@ -234,6 +236,10 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
             parts = raw.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{q_file}:{lineno}: expected 3 tab-separated fields")
+            if parts[0] not in atom_set:
+                raise ValueError(f"{q_file}:{lineno}: atom {parts[0]!r} is not in {facts_file}")
+            if parts[0] in questions:
+                raise ValueError(f"{q_file}:{lineno}: repeated atom {parts[0]!r}")
             questions[parts[0]] = (parts[1], parts[2])
 
     return Dataset(

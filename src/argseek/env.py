@@ -13,13 +13,15 @@ An ``EnvState`` holds each fact once: the action indices asked, in order,
 the collected facts and their rationality. ``reset`` and ``step`` build new
 states and never change one. Every policy picks from ``legal_actions``, a
 boolean mask over ``candidate_facts``; ``featurize`` gives the learning
-agent the flat vector ``[asked ⊕ collected ⊕ [r_norm]]``.
+agent the flat vector ``[asked ⊕ collected ⊕ [r_norm]]``. ``rollout`` is
+the one episode loop: training and evaluation both step the MDP through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -103,6 +105,11 @@ class StepResult:
     answered: str | None
 
 
+# A policy maps (state, legal mask, rng) to an action index; the mask is
+# ``legal_actions``'s boolean array over ``candidate_facts``.
+Policy = Callable[[EnvState, np.ndarray, np.random.Generator], int]
+
+
 def reset(scenario: Scenario, ka: frozenset[str]) -> EnvState:
     """Start an episode: empty questioner knowledge, nothing asked yet."""
     unknown = ka - set(scenario.candidate_facts)
@@ -159,3 +166,24 @@ def featurize(state: EnvState, scenario: Scenario) -> np.ndarray:
     vec[[n + i for i in state.asked if scenario.candidate_facts[i] in state.kq_facts]] = 1.0
     vec[-1] = state.r_norm
     return vec
+
+
+def rollout(
+    scenario: Scenario,
+    ka: frozenset[str],
+    policy: Policy,
+    rng: np.random.Generator,
+    cache: ExplainCache,
+) -> Iterator[tuple[int, StepResult, np.ndarray]]:
+    """Play one episode: reset, then per step ask ``policy`` for an action
+    and ``step``, yielding ``(action, result, legal mask of result.state)``.
+    The policy picks again only when the caller resumes the generator."""
+    state = reset(scenario, ka)
+    legal = legal_actions(state, scenario)
+    done = False
+    while not done:
+        action = policy(state, legal, rng)
+        result = step(state, action, scenario, ka, cache)
+        state, done = result.state, result.done
+        legal = legal_actions(state, scenario)
+        yield action, result, legal

@@ -26,15 +26,16 @@ from .agents.heuristics import (
     random_next,
 )
 from .agents.qnet import QNetworkParams
-from .env import EnvState, Scenario, featurize, legal_actions, reset, step
+from .env import EnvState, Policy, Scenario, featurize, rollout
+# Not used here: perfbench/spans.py wraps harness.step and
+# harness.legal_actions by name, and its tracer fails if either is missing.
+from .env import legal_actions, step
 from .kb import build_fact_graph
 
 UNKNOWN_ANSWER = "I do not know."
 
-# A policy maps (state, legal mask, rng) to an action index; the mask is
-# ``legal_actions``'s boolean array over ``candidate_facts``. A factory is
-# called once per episode so traversal cursors never leak across episodes.
-Policy = Callable[[EnvState, np.ndarray, np.random.Generator], int]
+# A factory is called once per episode so traversal cursors never leak
+# across episodes.
 PolicyFactory = Callable[[], Policy]
 
 
@@ -116,24 +117,14 @@ def run_episode(
     """Roll out one dialogue and record every step."""
     if cache is None:
         cache = ExplainCache(scenario.rules, scenario.config)
-    state = reset(scenario, ka)
-    records: list[StepRecord] = []
-    done = False
-    while not done:
-        action = policy(state, legal_actions(state, scenario), rng)
-        result = step(state, action, scenario, ka, cache=cache)
-        state, done = result.state, result.done
-        records.append(
-            StepRecord(
-                step=state.step,
-                asked=scenario.candidate_facts[action],
-                answered=result.answered,
-                r_raw=state.r_raw,
-                r_norm=state.r_norm,
-                reward=result.reward,
-            )
+    records = tuple(
+        StepRecord(
+            result.state.step, scenario.candidate_facts[action], result.answered,
+            result.state.r_raw, result.state.r_norm, result.reward,
         )
-    return EpisodeLog(records=tuple(records), success=state.r_norm >= scenario.theta_r)
+        for action, result, _ in rollout(scenario, ka, policy, rng, cache)
+    )
+    return EpisodeLog(records=records, success=records[-1].r_norm >= scenario.theta_r)
 
 
 def _episode_rng(seed: int, episode: int) -> np.random.Generator:

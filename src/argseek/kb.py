@@ -194,14 +194,14 @@ def load_facts_file(path: str | Path) -> list[str]:
     return list(seen)
 
 
-def load_rules_file(path: str | Path, atoms: Container[str] | None = None) -> list[Rule]:
+def load_rules_file(path: str | Path, atoms: Container[str]) -> list[Rule]:
     """Read one rule per line; '#' lines are comments. Parse errors, and a
-    rule over an atom outside ``atoms`` when given, name the offending line."""
+    rule over an atom outside ``atoms``, name the offending line."""
     rules = []
     for lineno, line in content_lines(path):
         try:
             rule = parse_rule(line)
-            for atom in (*rule.premises, rule.conclusion) if atoms is not None else ():
+            for atom in (*rule.premises, rule.conclusion):
                 if atom not in atoms:
                     raise KBError(f"rule references unknown atom {atom!r}")
         except KBError as exc:

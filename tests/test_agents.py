@@ -674,8 +674,8 @@ class TestTrainDdqn:
             assert np.array_equal(a, b)
 
     def test_one_env_step_per_curve_step(self, toy, monkeypatch):
-        # The trainer steps through argseek.env's module attribute, so a
-        # wrapper set there sees every step it takes.
+        # The trainer steps through env.rollout, which calls argseek.env's
+        # module attribute, so a wrapper set there sees every step it takes.
         calls = []
         real_step = env.step
 

@@ -383,6 +383,41 @@ class TestLoaderValidation:
         with pytest.raises(ValueError, match="3 tab-separated"):
             load_dataset(ds_dir / "manifest.txt")
 
+    def test_missing_questions_file_names_manifest_and_key(self, ds_dir):
+        # Unchecked, a misnamed questions file would load with no questions.
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "questions_file = q.tsv\n")
+        with pytest.raises(FileNotFoundError) as err:
+            load_dataset(manifest)
+        assert str(err.value) == (
+            f"{manifest}: questions_file: no such file {ds_dir / 'q.tsv'}"
+        )
+
+    def test_named_questions_file_is_read(self, ds_dir, benchmark_small):
+        (ds_dir / "questions.tsv").rename(ds_dir / "q.tsv")
+        manifest = ds_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "questions_file = q.tsv\n")
+        assert load_dataset(manifest).questions == benchmark_small.questions
+
+    def test_question_atom_outside_universe_names_line(self, ds_dir):
+        q_file = ds_dir / "questions.tsv"
+        q_file.write_text(q_file.read_text() + "zz\tIs zz known?\tzz holds.\n")
+        lineno = len(q_file.read_text().splitlines())
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == (
+            f"{q_file}:{lineno}: atom 'zz' is not in {ds_dir / 'facts.txt'}"
+        )
+
+    def test_repeated_question_atom_names_line(self, ds_dir):
+        # Unchecked, the later row would silently replace the earlier one.
+        q_file = ds_dir / "questions.tsv"
+        q_file.write_text(q_file.read_text() + "q001\tAgain?\tAgain.\n")
+        lineno = len(q_file.read_text().splitlines())
+        with pytest.raises(ValueError) as err:
+            load_dataset(ds_dir / "manifest.txt")
+        assert str(err.value) == f"{q_file}:{lineno}: repeated atom 'q001'"
+
 
 class TestToyDomain:
     def test_shape(self, toy):

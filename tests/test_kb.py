@@ -142,18 +142,18 @@ class TestLoaders:
     def test_rules_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("# rules\na & b -> c :: 1.0\n\nd -> e\n")
-        rules = load_rules_file(path)
+        rules = load_rules_file(path, {"a", "b", "c", "d", "e"})
         assert [r.conclusion for r in rules] == ["c", "e"]
 
     def test_rules_file_bad_line_names_line(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("a -> b\nnot a rule\n")
         with pytest.raises(KBError, match=":2:"):
-            load_rules_file(path)
+            load_rules_file(path, {"a", "b"})
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_rules_file_non_finite_weight_names_line(self, tmp_path, weight):
         path = tmp_path / "rules.txt"
         path.write_text(f"a -> b\n# comment\na & b -> c :: {weight}\n")
         with pytest.raises(KBError, match=r"rules\.txt:3: non-finite weight"):
-            load_rules_file(path)
+            load_rules_file(path, {"a", "b", "c"})
