@@ -8,42 +8,45 @@ each premise; an atom required from several places pays only its minimum
 charge, once. The cost of an explanation is the sum of charges over the
 ASSUME-labeled atoms, and ``explain`` minimizes it by branch and bound.
 
+A cost tie goes to the labeling first in the search's decision order; one
+search per component picks the same winner as one global search would, since
+the first decision where two labelings differ lies in one component.
 ``brute_force_explain`` is a deliberately separate exhaustive implementation
-kept as an oracle for the search. On any instance small enough for
-enumeration the two must return the same labels and charges, and totals
-within the tie window: ``explain`` adds up per-component totals while the
-oracle sums all assumed atoms in one pass, so on weights that are not dyadic
-the last bit of a total can differ.
+kept as an oracle for the search, enumerating in that order. On any
+instance small enough for enumeration the two must return the same labels
+and charges, and totals within the tie window: ``explain`` adds up
+per-component totals while the oracle sums all assumed atoms in one pass, so
+on weights that are not dyadic the last bit of a total can differ.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .kb import KnowledgeBase, Rule, render_rule
 
 logger = logging.getLogger(__name__)
 
-# Relative window within which two labeling costs count as a tie; ties are
-# broken by (fewer assumptions, lexicographically smallest assumption set,
-# smallest sorted set of used rules), so each instance has one optimum.
+# Relative window within which two labeling costs count as a tie; the first
+# tied labeling in the search's decision order wins, so each instance has one
+# optimum.
 _TIE_REL = 1e-9
 
 # Nodes one component's proof search may visit before ``explain`` gives up.
 # Far above any search the bundled datasets need (a few thousand nodes).
 _MAX_NODES = 1_000_000
 
-# Largest reachable universe ``brute_force_explain`` enumerates.
-_ORACLE_MAX_ATOMS = 14
+# Most assignments ``brute_force_explain`` enumerates: the product, over the
+# reachable atoms, of ASSUME plus the usable rules concluding the atom.
+_ORACLE_MAX_ASSIGNMENTS = 65_536
 
 
 class AbductionError(ValueError):
     """Raised when a proof search exceeds its node cap, or the oracle its
-    universe cap."""
+    assignment cap."""
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,6 @@ class Argument:
 
 def _tie_eps(cost: float) -> float:
     return _TIE_REL * max(1.0, abs(cost))
-
-
-def _labeling_rank(labels: Mapping[str, Rule | None]) -> tuple:
-    asm = tuple(sorted(a for a, r in labels.items() if r is None))
-    used = tuple(sorted(r.sort_key() for r in labels.values() if r is not None))
-    return (len(asm), asm, used)
 
 
 def _reachable_universe(
@@ -244,17 +241,18 @@ def _final_charges(
 class _BranchAndBound:
     """Labeling search over one connected component.
 
-    Branches over the justification of one pending atom at a time, ASSUME
-    first. The state is the partial labeling ``labels`` and, for every atom
-    needed so far, ``depth``: its longest need-path from an observation over
-    the rules in ``labels``. A rule is tried by labeling its conclusion with
-    it and raising each premise to one below the conclusion. If a premise
-    already needs the conclusion, the raise runs round that cycle until it
-    passes the depth bound, so the one depth pass refuses both too-deep and
-    cyclic justifications. The bound is ``max_depth`` capped at the
-    component size minus one: an acyclic need-path visits each atom at most
-    once, so the cap loses no valid labeling and keeps the raise's recursion
-    within the component.
+    Branches over the justification of the smallest pending atom, ASSUME
+    first, then its rules in ``sort_key`` order: that is the decision order
+    in which leaves are met. The state is the partial labeling ``labels``
+    and, for every atom needed so far, ``depth``: its longest need-path from
+    an observation over the rules in ``labels``. A rule is tried by labeling
+    its conclusion with it and raising each premise to one below the
+    conclusion. If a premise already needs the conclusion, the raise runs
+    round that cycle until it passes the depth bound, so the one depth pass
+    refuses both too-deep and cyclic justifications. The bound is
+    ``max_depth`` capped at the component size minus one: an acyclic
+    need-path visits each atom at most once, so the cap loses no valid
+    labeling and keeps the raise's recursion within the component.
 
     The lower bound ``lb`` is the sum of charge floors over the atoms already
     assumed and the forced assumptions: needed atoms that no rule concludes.
@@ -265,8 +263,10 @@ class _BranchAndBound:
     their depths, because a later rule choice can still lower the charge of
     an atom assumed earlier. The search starts with no incumbent: its first
     leaf, reached by assuming every observation, is the all-ASSUME labeling,
-    and each accepted leaf keeps the charges its pass computed. Each search
-    visits at most ``_MAX_NODES`` nodes.
+    and each accepted leaf keeps the charges its pass computed. A leaf must
+    beat the incumbent by more than the tie window, so the first tied leaf
+    wins, and a node whose ``lb`` cannot is pruned before its leaves
+    complete. Each search visits at most ``_MAX_NODES`` nodes.
     """
 
     def __init__(
@@ -308,7 +308,7 @@ class _BranchAndBound:
             raise AbductionError(
                 f"proof search visited {self.nodes} nodes, above the cap of {_MAX_NODES}"
             )
-        if self.lb > self.best_cost + _tie_eps(self.best_cost):
+        if self.lb >= self.best_cost - _tie_eps(min(self.lb, self.best_cost)):
             return
         if not self.pending:
             self._complete()
@@ -320,11 +320,7 @@ class _BranchAndBound:
 
     def _complete(self) -> None:
         charges, total = _final_charges(self.labels, self.depth, self.obs, self.config.obs_cost)
-        eps = _tie_eps(min(total, self.best_cost))
-        if total < self.best_cost - eps or (
-            total <= self.best_cost + eps
-            and _labeling_rank(self.labels) < _labeling_rank(self.best_labels)
-        ):
+        if total < self.best_cost - _tie_eps(min(total, self.best_cost)):
             self.best_labels = dict(self.labels)
             self.best_charges = charges
             self.best_cost = total
@@ -426,8 +422,9 @@ def brute_force_explain(
 
     Written independently of :func:`explain` (full enumeration, relaxation
     fixpoints instead of incremental bookkeeping) so that agreement between
-    the two is meaningful evidence of correctness. Refuses instances whose
-    reachable universe exceeds ``_ORACLE_MAX_ATOMS`` atoms.
+    the two is meaningful evidence of correctness. Labelings come in the
+    search's decision order and the first tied one is kept. Refuses instances
+    with more than ``_ORACLE_MAX_ASSIGNMENTS`` assignments.
     """
     config = config or AbductionConfig()
     obs = frozenset(observations)
@@ -447,27 +444,19 @@ def brute_force_explain(
             break
         reachable |= nxt
         frontier = nxt
-    if len(reachable) > _ORACLE_MAX_ATOMS:
+
+    options: dict[str, list[Rule | None]] = {a: [None] for a in reachable}
+    for rule in all_rules:
+        if rule.conclusion in reachable and all(p in reachable for p in rule.premises):
+            options[rule.conclusion].append(rule)
+    assignments = math.prod(len(opts) for opts in options.values())
+    if assignments > _ORACLE_MAX_ASSIGNMENTS:
         raise AbductionError(
-            f"oracle refuses {len(reachable)}-atom universe (cap {_ORACLE_MAX_ATOMS})"
+            f"oracle refuses {assignments} assignments (cap {_ORACLE_MAX_ASSIGNMENTS})"
         )
 
-    atoms = sorted(reachable)
-    options: list[list[Rule | None]] = []
-    for atom in atoms:
-        opts: list[Rule | None] = [None]
-        opts.extend(
-            r
-            for r in all_rules
-            if r.conclusion == atom and all(p in reachable for p in r.premises)
-        )
-        options.append(opts)
-
-    best: tuple[float, tuple, dict, dict] | None = None
-    for assignment in itertools.product(*options):
-        choice = dict(zip(atoms, assignment))
-        needed = _bf_needed(obs, choice)
-        labels = {a: choice[a] for a in needed}
+    best: tuple[float, dict, dict] | None = None
+    for labels in _bf_labelings(obs, {}, options):
         depths = _bf_depths(labels, obs)
         if depths is None or max(depths.values()) > config.max_depth:
             continue
@@ -476,28 +465,30 @@ def brute_force_explain(
         for atom in sorted(labels):
             if labels[atom] is None:
                 total += charges[atom]
-        rank = _labeling_rank(labels)
-        if best is None:
-            best = (total, rank, labels, charges)
-            continue
-        eps = _tie_eps(min(total, best[0]))
-        if total < best[0] - eps or (total <= best[0] + eps and rank < best[1]):
-            best = (total, rank, labels, charges)
-    assert best is not None  # the all-assume assignment is always valid
-    return ProofStructure(best[2], best[3], best[0])
+        if best is None or total < best[0] - _tie_eps(min(total, best[0])):
+            best = (total, labels, charges)
+    assert best is not None  # the all-assume labeling is always valid
+    return ProofStructure(best[1], best[2], best[0])
 
 
-def _bf_needed(obs: frozenset[str], choice: Mapping[str, Rule | None]) -> set[str]:
-    needed = set(obs)
-    stack = list(obs)
-    while stack:
-        rule = choice[stack.pop()]
-        if rule is not None:
-            for p in rule.premises:
-                if p not in needed:
-                    needed.add(p)
-                    stack.append(p)
-    return needed
+def _bf_labelings(
+    pending: frozenset[str],
+    labels: dict[str, Rule | None],
+    options: Mapping[str, list[Rule | None]],
+) -> Iterator[dict[str, Rule | None]]:
+    """Each labeling of the atoms needed from ``pending`` once, in decision
+    order: the smallest pending atom takes each of its options in turn, and
+    a used rule's unlabeled premises become pending."""
+    if not pending:
+        yield dict(labels)
+        return
+    atom = min(pending)
+    rest = pending - {atom}
+    for rule in options[atom]:
+        labels[atom] = rule
+        new = () if rule is None else (p for p in rule.premises if p not in labels)
+        yield from _bf_labelings(rest.union(new), labels, options)
+    del labels[atom]
 
 
 def _bf_depths(

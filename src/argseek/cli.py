@@ -45,6 +45,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise click.ClickException(f"bad --seeds value {text!r}") from exc
     if not seeds:
         raise click.ClickException("--seeds is empty")
+    if min(seeds) < 0:
+        raise click.ClickException(f"--seeds takes no negative seed: {text!r}")
     if len(set(seeds)) < len(seeds):
         raise click.ClickException(f"--seeds repeats a seed: {text!r}")
     return seeds
@@ -102,7 +104,8 @@ def main() -> None:
 @click.option("--ka", "ka_count", default=550, show_default=True)
 @click.option("--ka-size", default=20, show_default=True)
 @click.option("--train", "train_count", default=500, show_default=True)
-@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED")
+@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED",
+              type=click.IntRange(min=0))
 @click.option("--toy", is_flag=True, help="Write the fixed 10-atom toy domain instead.")
 def gen(out_dir, facts, rules, ka_count, ka_size, train_count, seed, toy) -> None:
     """Generate a synthetic dataset directory."""
@@ -127,7 +130,8 @@ def gen(out_dir, facts, rules, ka_count, ka_size, train_count, seed, toy) -> Non
 @main.command()
 @click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--episodes", default=1000, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED")
+@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED",
+              type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def train(data, episodes, seed, out_path) -> None:
     """Train a questioner network on the dataset's training split."""
@@ -187,7 +191,8 @@ def sweep(data, strategy, model_paths, seeds, max_tlimit, out_path) -> None:
 @click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_paths", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--ka", "ka_index", required=True, type=int)
-@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED")
+@click.option("--seed", default=0, show_default=True, envvar="ARGSEEK_SEED",
+              type=click.IntRange(min=0))
 def transcript(data, model_paths, ka_index, seed) -> None:
     """Replay one dialogue with a trained model and print the exchange."""
     if len(model_paths) > 1:

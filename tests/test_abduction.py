@@ -22,6 +22,7 @@ from argseek.abduction import (
     rationality,
 )
 from argseek.data import GenParams, build_synthetic
+from argseek.harness import evaluate
 from argseek.kb import KnowledgeBase, Rule, parse_rule
 from conftest import DYADIC_WEIGHTS, random_instance
 
@@ -80,6 +81,26 @@ class TestHandCases:
         assert proof.total_cost == 10.0
         assert proof.assumptions == ("a",)
 
+    def test_tie_goes_to_the_first_labeling_in_search_order(self):
+        # Both rules cost 8.0. The search tries a's rules in sort_key order,
+        # so b & c comes first and wins, though d needs fewer assumptions.
+        rules = rules_of("b & c -> a :: 0.8", "d -> a :: 0.8")
+        for proof in (explain({"a"}, rules), brute_force_explain({"a"}, rules)):
+            assert proof.total_cost == 8.0
+            assert proof.assumptions == ("b", "c")
+
+    @pytest.mark.parametrize(
+        "gap, assumptions, cost", [(2e-9, ("b",), 10.0 * (1.0 - 2e-9)), (0.5e-9, ("a",), 10.0)]
+    )
+    def test_tie_window_edges(self, gap, assumptions, cost):
+        # Deriving a from b undercuts assuming a by the relative gap: beyond
+        # the 1e-9 tie window it wins, within it the first leaf (ASSUME a)
+        # stays, and neither the prune nor the oracle cuts the difference.
+        rules = [Rule(("b",), "a", (1.0 - gap,))]
+        for proof in (explain({"a"}, rules), brute_force_explain({"a"}, rules)):
+            assert proof.assumptions == assumptions
+            assert proof.total_cost == cost
+
     def test_justification_cycles_rejected(self):
         rules = rules_of("a -> b :: 0.5", "b -> a :: 0.5")
         # Deriving each from the other would be free; both engines must
@@ -135,7 +156,7 @@ class TestHandCases:
     def test_labels_order_independent_of_string_hashing(self):
         # One component in which all-ASSUME wins: deriving o_i from o_i+1
         # also needs y_i at charge 12 > 10. The labeling is the search's
-        # seed incumbent.
+        # first leaf, reached by assuming every observation.
         script = (
             "from argseek.abduction import explain\n"
             "from argseek.kb import parse_rule\n"
@@ -248,12 +269,12 @@ class TestConfigValidation:
             AbductionConfig(max_depth=-1)
 
     def test_oracle_refuses_large_universe(self):
-        atoms = [f"p{i}" for i in range(15)]
-        rules = [
-            Rule((atoms[i], atoms[i + 1], atoms[i + 2]), "x", (0.5,) * 3)
-            for i in range(0, 15, 3)
-        ]
-        with pytest.raises(AbductionError, match="oracle"):
+        # x and p0..p15 are each concluded by one usable rule, so each has
+        # two options: 2**17 assignments, above the cap of 2**16.
+        atoms = [f"p{i}" for i in range(16)]
+        rules = [Rule(tuple(atoms), "x", (0.5,) * 16)]
+        rules += [Rule(("x",), a, (0.5,)) for a in atoms]
+        with pytest.raises(AbductionError, match="oracle refuses 131072 assignments"):
             brute_force_explain({"x"}, rules)
 
 
@@ -278,8 +299,8 @@ class TestOracleEquivalence:
 
     def test_tie_on_cost_and_assumptions_broken_by_used_rules(self):
         # Deriving a3 from a5 directly or through a2 both cost 10.0 and
-        # assume only a5; the smaller sorted rule set (a2's rule first) wins
-        # on both sides, whatever order the search meets them in.
+        # assume only a5. a3's rules are tried in sort_key order, so the one
+        # through a2 is met first and wins on both sides.
         rules = rules_of("a5 -> a3 :: 1.3", "a2 -> a3 :: 1.1", "a5 -> a2 :: 1.3")
         fast = explain({"a3", "a5"}, rules)
         slow = brute_force_explain({"a3", "a5"}, rules)
@@ -361,6 +382,39 @@ class TestGeneratorShapedOracle:
             assert fast.total_cost == slow.total_cost
             assert fast.assumptions == slow.assumptions
             assert fast.charges == slow.charges
+
+
+class TestBenchComponentsOracle:
+    def test_bench_eval_components_match_oracle(self, monkeypatch):
+        # Every distinct component observation set that the bench random,
+        # dfs and bfs evals search, seeds 0-4. A component's atoms, rules and
+        # floors depend only on its observations, so explaining the set alone
+        # repeats that search; the oracle checks every set within its cap.
+        bench = build_synthetic(GenParams())
+        searched: set[frozenset[str]] = set()
+
+        class Recording(abduction._BranchAndBound):
+            def __init__(self, observations, *args):
+                searched.add(observations)
+                super().__init__(observations, *args)
+
+        monkeypatch.setattr(abduction, "_BranchAndBound", Recording)
+        for kind in ("random", "dfs", "bfs"):
+            evaluate(kind, bench.test_kas, bench.scenario, range(5))
+        monkeypatch.undo()
+        checked = 0
+        for obs in sorted(searched, key=sorted):
+            try:
+                slow = brute_force_explain(obs, bench.rules, bench.config)
+            except AbductionError as exc:
+                assert "oracle refuses" in str(exc)
+                continue
+            fast = explain(obs, bench.rules, bench.config)
+            assert fast.labels == slow.labels
+            assert fast.charges == slow.charges
+            assert fast.total_cost == slow.total_cost
+            checked += 1
+        assert (len(searched), checked) == (619, 596)
 
 
 class TestHeavyTail:

@@ -203,6 +203,33 @@ class TestEval:
             assert isinstance(result.exception, SystemExit)
             assert "--seeds" in result.output
 
+    @pytest.mark.parametrize("command, seeds", [("eval", "-1"), ("sweep", "0,-2")])
+    def test_negative_seed_in_list_rejected(self, runner, toy_dir, command, seeds):
+        for args, env in (
+            (["--seeds", seeds], {}),
+            ([], {"ARGSEEK_SEED": seeds}),
+        ):
+            result = runner.invoke(
+                main, [command, "--data", str(toy_dir), "--strategy", "random", *args],
+                env=env,
+            )
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert "--seeds" in result.output
+
+    @pytest.mark.parametrize("command", ["gen", "train", "transcript"])
+    def test_negative_seed_flag_rejected(self, runner, toy_dir, oracle_path, tmp_path, command):
+        args = {
+            "gen": ["--toy", "--out", str(tmp_path / "toy")],
+            "train": ["--data", str(toy_dir), "--episodes", "1", "--out", str(tmp_path / "m")],
+            "transcript": ["--data", str(toy_dir), "--model", oracle_path, "--ka", "0"],
+        }[command]
+        for extra, env in ((["--seed", "-3"], {}), ([], {"ARGSEEK_SEED": "-1"})):
+            result = runner.invoke(main, [command, *args, *extra], env=env)
+            assert result.exit_code == 2
+            assert "--seed" in result.output
+            assert not (tmp_path / "toy").exists() and not (tmp_path / "m").exists()
+
     @pytest.mark.parametrize(
         "command, flag", [("eval", "--t-limit"), ("sweep", "--max-tlimit")]
     )
